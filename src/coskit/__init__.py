@@ -23,8 +23,7 @@ from .models import (BS, FMLS, NIG, VG, Cauchy, CentralizedCF, HeavyTail,
 from .reference import (CarrMadanConfig, black_scholes_call,
                         black_scholes_put, carr_madan_call, cauchy_cdf,
                         density_by_inversion, derivative_by_inversion)
-from .tuning import (TuningRequest, minimize_series_order, tune, tune_heavy,
-                     tune_semiheavy)
+from .tuning import TuningRequest, minimize_series_order, tune
 
 __all__ = [
     "__version__",
@@ -41,8 +40,7 @@ __all__ = [
     "hj_density_sup", "series_truncation_bound", "bl_bound_semiheavy",
     "bl_bound_heavy", "bl_bruteforce",
     # tuning
-    "TuningRequest", "tune", "tune_semiheavy", "tune_heavy",
-    "minimize_series_order",
+    "TuningRequest", "tune", "minimize_series_order",
     # reference
     "CarrMadanConfig", "carr_madan_call", "black_scholes_put",
     "black_scholes_call", "cauchy_cdf", "density_by_inversion",

@@ -114,12 +114,18 @@ def hj_numeric(cf: CentralizedCF, order: int, rtol: float = 1e-8) -> DerivativeB
     Integrates octave by octave with adaptive quadrature, doubling the upper
     limit until the integrand has decayed below 1e-16 of its peak and the last
     octave is negligible; raises IntegralDiverged when that never happens
-    (density not smooth enough, e.g. VG at short maturity).
+    (density not smooth enough, e.g. VG at short maturity), including when
+    u^j overflows before the integrand has decayed.
     """
     j = order
 
     def g(u):
-        return u ** j * abs(complex(cf.phi(u)))
+        try:
+            return u ** j * abs(complex(cf.phi(u)))
+        except OverflowError:
+            raise IntegralDiverged(
+                f"u^{j} overflows at u = {u:.4g} before u^{j}|phi(u)| "
+                "decays") from None
 
     # locate the integrand's peak scale to anchor the first octave
     u_peak = 1.0

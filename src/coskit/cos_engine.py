@@ -49,8 +49,8 @@ class Put:
     strike: float
 
     def __post_init__(self):
-        if not self.strike > 0:
-            raise ValueError("strike must be positive")
+        if not (self.strike > 0 and math.isfinite(self.strike)):
+            raise ValueError("strike must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,18 @@ class Call:
     strike: float
 
     def __post_init__(self):
-        if not self.strike > 0:
-            raise ValueError("strike must be positive")
+        if not (self.strike > 0 and math.isfinite(self.strike)):
+            raise ValueError("strike must be positive and finite")
 
 
 @dataclass(frozen=True)
 class DigitalBelow:
     """Pays 1 at maturity when the centralized log-return is <= threshold."""
     threshold: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.threshold):
+            raise ValueError("digital threshold must be finite")
 
 
 Payoff = Union[Put, Call, DigitalBelow]
@@ -121,38 +125,38 @@ def _chi(a: float, b: float, L: float, N: int) -> np.ndarray:
             - math.exp(a) * (np.cos(ta) + w * np.sin(ta))) / (1.0 + w * w)
 
 
+def _upper_limit(payoff: Payoff, mu: float) -> float:
+    """Upper end of the payoff's support on the centralized scale: the
+    threshold of a digital, log(K) - mu for a put (and a call, which is
+    priced through its put)."""
+    if isinstance(payoff, DigitalBelow):
+        return payoff.threshold
+    if isinstance(payoff, (Put, Call)):
+        return math.log(payoff.strike) - mu
+    raise TypeError(f"unsupported payoff {payoff!r}")
+
+
 def payoff_coefficients(payoff: Payoff, ctx: MarketContext, mu: float,
                         M: float, L: float, N: int) -> np.ndarray:
     """Closed-form payoff coefficients v_k = Int_{-M}^{M} v(x) e_k(x) dx for
     k = 0..N, with v the discounted payoff of the centralized log-return.
 
-    When the payoff has no mass on [-M, M] the vector is zero and a
-    DegeneratePayoffWarning is emitted.
+    When the payoff has no mass on [-M, M] (its upper limit is <= -M) the
+    vector is zero and a DegeneratePayoffWarning is emitted.
     """
     if not (0.0 < M <= L):
         raise ValueError(f"need 0 < M <= L, got M={M}, L={L}")
     disc = math.exp(-ctx.r * ctx.T)
-
+    d = _upper_limit(payoff, mu)
+    if d <= -M:
+        warnings.warn("payoff has no mass on the integration range",
+                      DegeneratePayoffWarning)
+        return np.zeros(N + 1)
+    d = min(d, M)
     if isinstance(payoff, DigitalBelow):
-        d = payoff.threshold - 0.0  # already on the centralized scale
-        if d <= -M:
-            warnings.warn("digital threshold below the integration range",
-                          DegeneratePayoffWarning)
-            return np.zeros(N + 1)
-        return disc * _psi(-M, min(d, M), L, N)
-
-    if isinstance(payoff, (Put, Call)):
-        K = payoff.strike
-        d = math.log(K) - mu
-        if d <= -M:
-            warnings.warn("put payoff has no mass on the integration range",
-                          DegeneratePayoffWarning)
-            return np.zeros(N + 1)
-        d = min(d, M)
-        return disc * (K * _psi(-M, d, L, N)
-                       - math.exp(mu) * _chi(-M, d, L, N))
-
-    raise TypeError(f"unsupported payoff {payoff!r}")
+        return disc * _psi(-M, d, L, N)
+    K = payoff.strike
+    return disc * (K * _psi(-M, d, L, N) - math.exp(mu) * _chi(-M, d, L, N))
 
 
 def _compensated_dot(terms: np.ndarray) -> float:
@@ -164,21 +168,19 @@ def _compensated_dot(terms: np.ndarray) -> float:
 def cos_price(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
               params: CosParameters) -> PricingResult:
     """Price = half-weighted series sum_k' c_k v_k; calls add the parity term
-    S0 - K exp(-rT) on top of the put price."""
+    S0 - K exp(-rT) on top of the put price.  A payoff with no mass on
+    [-M, M] prices at 0 (plus parity for a call) with degenerate=True."""
     t0 = time.perf_counter()
     inner = Put(payoff.strike) if isinstance(payoff, Call) else payoff
 
-    degenerate = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegeneratePayoffWarning)
+    degenerate = _upper_limit(inner, cf.mu) <= -params.M
+    if degenerate:
+        price = 0.0
+    else:
         v = payoff_coefficients(inner, ctx, cf.mu, params.M, params.L, params.N)
-        degenerate = any(issubclass(w.category, DegeneratePayoffWarning)
-                         for w in caught)
-
-    c = cos_coefficients(cf, params.L, params.N)
-    terms = c * v
-    terms[0] *= 0.5
-    price = _compensated_dot(terms)
+        terms = cos_coefficients(cf, params.L, params.N) * v
+        terms[0] *= 0.5
+        price = _compensated_dot(terms)
 
     if isinstance(payoff, Call):
         price += ctx.S0 - payoff.strike * math.exp(-ctx.r * ctx.T)

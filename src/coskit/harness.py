@@ -25,10 +25,10 @@ from .errors import (CosKitError, DampingInadmissible, IntegralDiverged,
                      NotReachedWithinCap, QuadratureFailure,
                      ReferenceUnavailable, ToleranceTooLoose)
 from .models import (BS, FMLS, NIG, VG, Cauchy, CentralizedCF, MarketContext,
-                     ModelSpec, Stable, central_moment, centralized_cf)
+                     ModelSpec, Stable, centralized_cf, tail_profile)
 from .reference import (CarrMadanConfig, black_scholes_call,
                         black_scholes_put, carr_madan_call, cauchy_cdf)
-from .tuning import TuningRequest, tune
+from .tuning import TuningRequest, _ranges, _series_length, tune
 
 __all__ = [
     "ConvergenceRecord", "ExperimentConfig", "EXPERIMENT_IDS", "find_nmin",
@@ -231,10 +231,11 @@ def run_vg_counterexample(out: str | None = None) -> dict:
     h1_sup = hj_density_sup(cf, 1)
     h1_integral = hj_numeric(cf, 1)
 
-    mu4 = central_moment(model, ctx, s["moment_order"])
-    L = (2.0 * s["K"] * mu4 / s["tol"]) ** (1.0 / s["moment_order"])
-    xi = math.sqrt(2.0 * L) * s["K"]
-    n_rule = (4.0 * h1_sup.value * L / math.pi * 6.0 * xi / s["tol"]) ** 2
+    # the moment rule and the square-root rule exactly as tune applies them
+    req = TuningRequest(model, ctx, payoff_bound=s["K"], tol=s["tol"],
+                        moment_order=s["moment_order"])
+    _, L, xi, _ = _ranges(req, tail_profile(model, ctx))
+    n_rule = _series_length(0, h1_sup, L, xi, s["tol"])
 
     res_small = cos_price(cf, Call(s["K"]), ctx,
                           CosParameters(M=L, L=L, N=50))
@@ -526,7 +527,7 @@ def _collect_model_opts(args) -> dict:
     return opts
 
 
-def _payoff_and_bound(args, mu: float) -> tuple[Payoff, float]:
+def _payoff_and_bound(args) -> tuple[Payoff, float]:
     kind = args.payoff
     if kind == "put":
         return Put(args.K), args.K
@@ -537,18 +538,24 @@ def _payoff_and_bound(args, mu: float) -> tuple[Payoff, float]:
     raise ModelParameterError(f"unknown payoff {kind!r}")
 
 
-def _cmd_price(args) -> int:
+def _request(args, payoff_bound: float) -> TuningRequest:
+    """Tuning request from the model, market and tuning flags that `price`
+    and `tune` share."""
     opts = _collect_model_opts(args)
     model = _build_model(opts)
     ctx = MarketContext(S0=opts.get("S0", args.S0), r=opts.get("r", args.r),
                         T=opts.get("T", args.T))
-    cf = centralized_cf(model, ctx)
-    payoff, bound = _payoff_and_bound(args, cf.mu)
-    req = TuningRequest(model, ctx, payoff_bound=bound, tol=args.eps,
-                        moment_order=args.n, series_order=args.j,
-                        minimize_order=args.minimize_j)
+    return TuningRequest(model, ctx, payoff_bound=payoff_bound, tol=args.eps,
+                         moment_order=args.n, series_order=args.j,
+                         minimize_order=args.minimize_j)
+
+
+def _cmd_price(args) -> int:
+    payoff, bound = _payoff_and_bound(args)
+    req = _request(args, bound)
+    cf = centralized_cf(req.model, req.ctx)
     params = tune(req)
-    res = cos_price(cf, payoff, ctx, params)
+    res = cos_price(cf, payoff, req.ctx, params)
     print(f"price = {res.price:.10g}")
     print(f"M = {params.M:.10g}  L = {params.L:.10g}  N = {params.N}")
     print(f"certified tolerance = {params.tol:g}")
@@ -558,14 +565,7 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    opts = _collect_model_opts(args)
-    model = _build_model(opts)
-    ctx = MarketContext(S0=opts.get("S0", args.S0), r=opts.get("r", args.r),
-                        T=opts.get("T", args.T))
-    req = TuningRequest(model, ctx, payoff_bound=args.K, tol=args.eps,
-                        moment_order=args.n, series_order=args.j,
-                        minimize_order=args.minimize_j)
-    params = tune(req)
+    params = tune(_request(args, args.K))
     print(f"M = {params.M:.10g}  L = {params.L:.10g}  N = {params.N}")
     for key in ("M", "L", "N"):
         print(f"  {key}: {params.provenance[key]}")

@@ -7,7 +7,7 @@ symmetry.  Pricing code only ever sees (phi, mu) with mu = E[log(S_T)].
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -28,12 +28,22 @@ __all__ = [
 # model parameter sets
 # ---------------------------------------------------------------------------
 
+def _require_finite(params) -> None:
+    """Reject NaN and infinite fields of a parameter dataclass."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ModelParameterError(
+                f"{type(params).__name__} {f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class BS:
     """Black-Scholes: lognormal stock with volatility sigma (per sqrt-year)."""
     sigma: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.sigma > 0:
             raise ModelParameterError(f"BS sigma must be > 0, got {self.sigma}")
 
@@ -45,6 +55,7 @@ class NIG:
     delta: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.alpha > 0:
             raise ModelParameterError(f"NIG alpha must be > 0, got {self.alpha}")
         if not self.delta > 0:
@@ -59,6 +70,7 @@ class VG:
     theta: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.sigma > 0:
             raise ModelParameterError(f"VG sigma must be > 0, got {self.sigma}")
         if not self.nu > 0:
@@ -77,6 +89,7 @@ class FMLS:
     sigma: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not 1.0 < self.alpha < 2.0:
             raise ModelParameterError(f"FMLS alpha must be in (1, 2), got {self.alpha}")
         if not self.sigma > 0:
@@ -93,6 +106,7 @@ class Stable:
     loc: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 < self.alpha <= 2.0:
             raise ModelParameterError(f"Stable alpha must be in (0, 2], got {self.alpha}")
         if not -1.0 <= self.beta <= 1.0:
@@ -117,6 +131,7 @@ class MarketContext:
     T: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.S0 > 0:
             raise ModelParameterError(f"S0 must be > 0, got {self.S0}")
         if not self.T > 0:

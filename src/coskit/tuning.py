@@ -1,10 +1,11 @@
 """Certified selection of the COS parameters (M, L, N).
 
-Given a model, a bound on the payoff, and a price tolerance, these rules
-return ranges and a series length that provably keep the COS price within the
-tolerance: the moment rule for semi-heavy (exponential) tails and the Pareto
-rule for heavy tails, both combined with the integration-by-parts bound on
-the series tail evaluated at a chosen derivative order.
+Given a model, a bound on the payoff, and a price tolerance, `tune` returns
+ranges and a series length that provably keep the COS price within the
+tolerance.  One range rule is picked by the model's tail profile -- the
+moment rule for semi-heavy (exponential) tails, the Pareto rule for heavy
+tails -- and one series-length rule, the integration-by-parts bound on the
+series tail at a chosen derivative order, serves both.
 """
 
 import math
@@ -12,12 +13,12 @@ from dataclasses import dataclass
 
 from .bounds import DerivativeBound, hj_closed_form, hj_numeric
 from .cos_engine import CosParameters
-from .errors import NoClosedForm, NoSmoothness, ToleranceTooLoose
+from .errors import (NoClosedForm, NoSmoothness, NotReachedWithinCap,
+                     ToleranceTooLoose)
 from .models import (VG, HeavyTail, MarketContext, ModelSpec, SemiHeavyTail,
-                     central_moment, tail_profile)
+                     TailProfile, central_moment, centralized_cf, tail_profile)
 
-__all__ = ["TuningRequest", "tune", "tune_semiheavy", "tune_heavy",
-           "minimize_series_order"]
+__all__ = ["TuningRequest", "tune", "minimize_series_order"]
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,10 @@ class TuningRequest:
     minimize_order: bool = False
 
     def __post_init__(self):
-        if not self.payoff_bound > 0:
-            raise ValueError("payoff bound must be positive")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not (self.payoff_bound > 0 and math.isfinite(self.payoff_bound)):
+            raise ValueError("payoff bound must be positive and finite")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("tolerance must be positive and finite")
         if self.moment_order < 2 or self.moment_order % 2:
             raise ValueError("moment order must be even and >= 2")
         if self.series_order < 1:
@@ -51,8 +52,7 @@ def _vg_smoothness_cap(model: VG, T: float) -> int:
     limit = 2.0 * T / model.nu - 2.0
     if limit <= 0.0:
         return -1
-    cap = math.ceil(limit) - 1
-    return max(cap, 0) if limit > 0 else -1
+    return math.ceil(limit) - 1
 
 
 def _effective_order(model: ModelSpec, T: float, requested: int) -> int:
@@ -80,19 +80,59 @@ def _h_next(model: ModelSpec, ctx: MarketContext, order: int,
     try:
         return hj_closed_form(model, ctx, order + 1)
     except NoClosedForm:
-        from .models import centralized_cf
         return hj_numeric(centralized_cf(model, ctx), order + 1)
 
 
-def _log_series_n(order: int, log_h_next: float, L: float, xi: float,
-                  tol: float) -> float:
-    """log of the series-length bound for order >= 1:
-    ((2^(j+2) H_(j+1) L^(j+1) / (j pi^(j+1))) * 12 xi / tol)^(1/j)."""
-    j = order
-    ln = ((j + 2) * math.log(2.0) + log_h_next + (j + 1) * math.log(L)
-          - math.log(j) - (j + 1) * math.log(math.pi)
-          + math.log(12.0 * xi / tol))
-    return ln / j
+def _ranges(req: TuningRequest,
+            profile: TailProfile) -> tuple[float, float, float, dict]:
+    """(M, L, xi) and the M/L provenance, with xi = sqrt(2M) * payoff bound.
+
+    Semi-heavy tails: L = M from the even-moment tail rule
+    (2 K mu_n / tol)^(1/n).  Heavy tails: M from the Pareto tail-mass rule,
+    L from the substitution-term rule, never below M.
+    """
+    K, tol = req.payoff_bound, req.tol
+    if isinstance(profile, SemiHeavyTail):
+        n = req.moment_order
+        mu_n = central_moment(req.model, req.ctx, n)
+        M = L = (2.0 * K * mu_n / tol) ** (1.0 / n)
+        return M, L, math.sqrt(2.0 * M) * K, {
+            "M": f"even-moment tail rule, order {n}",
+            "L": "equal to M (semi-heavy tails)"}
+    a, al = profile.amplitude, profile.index
+    M = (4.0 * a * K / (tol * al)) ** (1.0 / al)
+    xi = math.sqrt(2.0 * M) * K
+    L = max(M, (12.0 * a * math.sqrt(1.0 / (al * al) + 2.0 / 3.0)
+                * xi / tol) ** (2.0 / (1.0 + 2.0 * al)))
+    return M, L, xi, {"M": f"Pareto tail-mass rule (index {al:.4g})",
+                      "L": "max of M and the substitution-term rule"}
+
+
+def _series_length(j: int, bound: DerivativeBound, L: float, xi: float,
+                   tol: float) -> float:
+    """Real-valued series length, never below 4L/pi.
+
+    j = 0 is the square-root rule (4 H_1 L / pi * 6 xi / tol)^2; j >= 1 is
+    ((2^(j+2) H_(j+1) L^(j+1) / (j pi^(j+1))) * 12 xi / tol)^(1/j), evaluated
+    in the log domain.  Raises NotReachedWithinCap when no finite length
+    meets the tolerance.
+    """
+    try:
+        if j == 0:
+            n_bound = (4.0 * bound.value * L / math.pi * 6.0 * xi / tol) ** 2
+        else:
+            n_bound = math.exp(
+                ((j + 2) * math.log(2.0) + bound.log_value
+                 + (j + 1) * math.log(L) - math.log(j)
+                 - (j + 1) * math.log(math.pi) + math.log(12.0 * xi / tol)) / j)
+    except OverflowError:
+        n_bound = math.inf
+    n_real = max(4.0 * L / math.pi, n_bound)
+    if not math.isfinite(n_real):
+        raise NotReachedWithinCap(
+            f"no finite series length meets tolerance {tol:g} at derivative "
+            f"order {j}")
+    return n_real
 
 
 def _ceil_n(x: float) -> int:
@@ -122,98 +162,53 @@ def _check_semiheavy_range(profile: SemiHeavyTail, L: float, M: float,
                 f"condition (needs >= {needed:.4g})")
 
 
-def tune_semiheavy(req: TuningRequest,
-                   h_next: DerivativeBound | None = None) -> CosParameters:
-    """Ranges and series length for exponentially decaying tails.
+def _best_order(req: TuningRequest, L: float, xi: float,
+                max_order: int) -> tuple[int, int]:
+    """(order, N) minimizing the series length over orders 1..max_order
+    (clamped to the model's smoothness) for the given ranges; ties break
+    toward the smaller order.  Needs closed-form derivative bounds."""
+    cap = _effective_order(req.model, req.ctx.T, max_order)
+    if cap < 1:
+        raise NoSmoothness("no derivative order >= 1 is admissible")
+    n_star, j_star = min(
+        (_ceil_n(_series_length(j, hj_closed_form(req.model, req.ctx, j + 1),
+                                L, xi, req.tol)), j)
+        for j in range(1, cap + 1))
+    return j_star, n_star
 
-    L = M from the even-moment tail rule (2 K mu_n / tol)^(1/n); N from the
-    series bound at the requested derivative order (or the square-root rule
-    when only one bounded derivative exists).  The certified guarantee is
+
+def tune(req: TuningRequest, h_next: DerivativeBound | None = None) -> CosParameters:
+    """Certified (M, L, N): the range rule picked by the model's tail profile
+    and the series bound at the requested derivative order (clamped to the
+    model's smoothness, minimized over orders when requested, or the
+    square-root rule when only one bounded derivative exists).  h_next
+    overrides the derivative bound H_(j+1).  The certified guarantee is
     |COS price - true price| <= tol.
     """
     profile = tail_profile(req.model, req.ctx)
-    if not isinstance(profile, SemiHeavyTail):
-        raise TypeError(f"{type(req.model).__name__} does not have "
-                        "semi-heavy tails; use tune_heavy")
-    n = req.moment_order
-    mu_n = central_moment(req.model, req.ctx, n)
-    L = M = (2.0 * req.payoff_bound * mu_n / req.tol) ** (1.0 / n)
-    xi = math.sqrt(2.0 * M) * req.payoff_bound
-
-    j = _effective_order(req.model, req.ctx.T, req.series_order)
-    if req.minimize_order and j >= 1:
-        j, _ = minimize_series_order(req, max_order=120)
-
-    bound = _h_next(req.model, req.ctx, j, h_next)
-    if j == 0:
-        n_real = max(4.0 * L / math.pi,
-                     (4.0 * bound.value * L / math.pi * 6.0 * xi / req.tol) ** 2)
-        rule = "square-root rule (one bounded derivative)"
-    else:
-        n_real = max(4.0 * L / math.pi,
-                     math.exp(_log_series_n(j, bound.log_value, L, xi, req.tol)))
-        rule = f"series bound at derivative order {j}"
-    N = _ceil_n(n_real)
-
-    _check_semiheavy_range(profile, L, M, xi, req.tol, with_series_cond=j >= 1)
-
-    return CosParameters(
-        M=M, L=L, N=N, tol=req.tol,
-        provenance={
-            "M": f"even-moment tail rule, order {n}",
-            "L": "equal to M (semi-heavy tails)",
-            "N": f"{rule}, H_{j + 1} from {bound.source.value}",
-        })
-
-
-def tune_heavy(req: TuningRequest,
-               h_next: DerivativeBound | None = None) -> CosParameters:
-    """Ranges and series length for Pareto tails.
-
-    M from the Pareto tail-mass rule, L from the substitution-term rule (never
-    below M), N from the series bound; certified to the requested tolerance.
-    """
-    profile = tail_profile(req.model, req.ctx)
-    if not isinstance(profile, HeavyTail):
-        raise TypeError(f"{type(req.model).__name__} does not have "
-                        "heavy tails; use tune_semiheavy")
-    a, al = profile.amplitude, profile.index
-    K, tol = req.payoff_bound, req.tol
-
-    M = (4.0 * a * K / (tol * al)) ** (1.0 / al)
-    xi = math.sqrt(2.0 * M) * K
-    L = max(M, (12.0 * a * math.sqrt(1.0 / (al * al) + 2.0 / 3.0)
-                * xi / tol) ** (2.0 / (1.0 + 2.0 * al)))
-
-    if M < profile.onset:
+    M, L, xi, provenance = _ranges(req, profile)
+    if isinstance(profile, HeavyTail) and M < profile.onset:
         raise ToleranceTooLoose(
             f"payoff range {M:.4g} below the tail-domination onset "
             f"{profile.onset:.4g}")
 
-    j = req.series_order
-    if req.minimize_order:
-        j, _ = minimize_series_order(req, max_order=120)
+    j = _effective_order(req.model, req.ctx.T, req.series_order)
+    if req.minimize_order and j >= 1:
+        j, _ = _best_order(req, L, xi, max_order=120)
+
     bound = _h_next(req.model, req.ctx, j, h_next)
-    n_real = max(4.0 * L / math.pi,
-                 math.exp(_log_series_n(j, bound.log_value, L, xi, tol)))
-    N = _ceil_n(n_real)
+    N = _ceil_n(_series_length(j, bound, L, xi, req.tol))
+    rule = ("square-root rule (one bounded derivative)" if j == 0
+            else f"series bound at derivative order {j}")
+
+    if isinstance(profile, SemiHeavyTail):
+        _check_semiheavy_range(profile, L, M, xi, req.tol,
+                               with_series_cond=j >= 1)
 
     return CosParameters(
-        M=M, L=L, N=N, tol=tol,
-        provenance={
-            "M": f"Pareto tail-mass rule (index {al:.4g})",
-            "L": "max of M and the substitution-term rule",
-            "N": f"series bound at derivative order {j}, "
-                 f"H_{j + 1} from {bound.source.value}",
-        })
-
-
-def tune(req: TuningRequest, h_next: DerivativeBound | None = None) -> CosParameters:
-    """Dispatch on the model's tail profile."""
-    profile = tail_profile(req.model, req.ctx)
-    if isinstance(profile, SemiHeavyTail):
-        return tune_semiheavy(req, h_next)
-    return tune_heavy(req, h_next)
+        M=M, L=L, N=N, tol=req.tol,
+        provenance={**provenance,
+                    "N": f"{rule}, H_{j + 1} from {bound.source.value}"})
 
 
 def minimize_series_order(req: TuningRequest, max_order: int = 120) -> tuple[int, int]:
@@ -222,30 +217,5 @@ def minimize_series_order(req: TuningRequest, max_order: int = 120) -> tuple[int
 
     Needs closed-form derivative bounds for a cheap sweep.
     """
-    profile = tail_profile(req.model, req.ctx)
-    if isinstance(profile, SemiHeavyTail):
-        mu_n = central_moment(req.model, req.ctx, req.moment_order)
-        M = L = (2.0 * req.payoff_bound * mu_n / req.tol) ** (1.0 / req.moment_order)
-    else:
-        a, al = profile.amplitude, profile.index
-        M = (4.0 * a * req.payoff_bound / (req.tol * al)) ** (1.0 / al)
-        xi_h = math.sqrt(2.0 * M) * req.payoff_bound
-        L = max(M, (12.0 * a * math.sqrt(1.0 / (al * al) + 2.0 / 3.0)
-                    * xi_h / req.tol) ** (2.0 / (1.0 + 2.0 * al)))
-    xi = math.sqrt(2.0 * M) * req.payoff_bound
-
-    cap = _effective_order(req.model, req.ctx.T, max_order)
-    if cap < 1:
-        raise NoSmoothness("no derivative order >= 1 is admissible")
-
-    best: tuple[int, int] | None = None
-    floor_n = 4.0 * L / math.pi
-    for j in range(1, cap + 1):
-        bound = hj_closed_form(req.model, req.ctx, j + 1)  # NoClosedForm -> caller
-        n_real = max(floor_n,
-                     math.exp(_log_series_n(j, bound.log_value, L, xi, req.tol)))
-        nj = _ceil_n(n_real)
-        if best is None or nj < best[1]:
-            best = (j, nj)
-    assert best is not None
-    return best
+    _, L, xi, _ = _ranges(req, tail_profile(req.model, req.ctx))
+    return _best_order(req, L, xi, max_order)

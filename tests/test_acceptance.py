@@ -97,7 +97,7 @@ def test_criterion_3_vg_counterexample():
     n_rule = out["n_rule"]
 
     # The square-root rule, i.e. the J = 0 case of series_truncation_bound
-    # solved for N as in tune_semiheavy: N = (4 H1 L / pi * 6 xi / eps)^2 with
+    # solved for N as in tune: N = (4 H1 L / pi * 6 xi / eps)^2 with
     # xi = sqrt(2 L) K.  L = (2 K mu4 / eps)^(1/4) is the fourth-moment range
     # rule; for theta = 0 the VG cumulants kappa2 = sigma^2 T and
     # kappa4 = 3 sigma^4 nu T give mu4 = kappa4 + 3 kappa2^2

@@ -32,6 +32,13 @@ def test_parameter_validation():
         Put(0.0)
     with pytest.raises(ValueError):
         Call(-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Put(bad)
+        with pytest.raises(ValueError):
+            Call(bad)
+        with pytest.raises(ValueError):
+            DigitalBelow(bad)
 
 
 def test_c0_is_exactly_inverse_range():
@@ -116,13 +123,19 @@ def test_degenerate_payoffs_warn_and_zero():
     assert np.all(v == 0.0)
 
 
-def test_degenerate_flag_propagates_to_price():
+@pytest.mark.parametrize("payoff,price", [
+    (Put(math.exp(CF_BS.mu - 1.0)), 0.0),
+    (Call(math.exp(CF_BS.mu - 1.0)),
+     CTX.S0 - math.exp(CF_BS.mu - 1.0) * math.exp(-CTX.r * CTX.T)),
+    (DigitalBelow(-5.0), 0.0),
+], ids=["put", "call", "digital"])
+def test_degenerate_flag_propagates_to_price(payoff, price):
+    # detected without the warnings machinery: nothing is emitted
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = cos_price(CF_BS, Put(math.exp(CF_BS.mu - 1.0)), CTX,
-                        CosParameters(0.5, 0.5, 16))
+        warnings.simplefilter("error")
+        res = cos_price(CF_BS, payoff, CTX, CosParameters(0.5, 0.5, 16))
     assert res.degenerate
-    assert res.price == 0.0
+    assert res.price == price
 
 
 # ---------------------------------------------------------------------------

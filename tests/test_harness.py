@@ -196,7 +196,61 @@ def test_cli_exit_codes(capsys):
                      "--T", "0.1", "--eps", "1e-2", "--payoff", "call"]) == 4
     assert cli_main(["tune", "--model", "bs", "--sigma", "0.2",
                      "--eps", "1e-6", "--n", "7"]) == 2
+    # non-finite market input
+    assert cli_main(["price", "--model", "bs", "--sigma", "0.2", "--r", "nan",
+                     "--eps", "1e-6"]) == 2
+    # the numeric derivative bound overflows before its integrand decays
+    assert cli_main(["price", "--model", "vg", "--sigma", "0.12", "--nu",
+                     "0.2", "--T", "1.85", "--eps", "1e-8"]) == 3
+    # no finite series length meets the tolerance
+    assert cli_main(["price", "--model", "bs", "--sigma", "0.2",
+                     "--eps", "1e-300"]) == 3
     capsys.readouterr()
+
+
+# stdout of the CLI as recorded before `price` and `tune` shared their
+# request-building code
+CLI_STDOUT = {
+    "price-bs-put": (
+        ["price", "--model", "bs", "--sigma", "0.2", "--eps", "1e-8"],
+        "price = 7.965567455\n"
+        "M = 6.939168087  L = 6.939168087  N = 179\n"
+        "certified tolerance = 1e-08\n"),
+    "price-fmls-call": (
+        ["price", "--model", "fmls", "--alpha", "1.5597", "--sigma", "0.1486",
+         "--T", "1", "--S0", "100", "--K", "100", "--r", "0",
+         "--payoff", "call", "--eps", "1e-2"],
+        "price = 9.740967983\n"
+        "M = 69.03695125  L = 175.9622248  N = 5451\n"
+        "certified tolerance = 0.01\n"),
+    "price-cauchy-digital": (
+        ["price", "--model", "cauchy", "--payoff", "digital", "--d", "1.23",
+         "--eps", "1e-3"],
+        "price = 0.7824861822\n"
+        "M = 1273.239545  L = 3956.251301  N = 66666\n"
+        "certified tolerance = 0.001\n"),
+    "tune-bs": (
+        ["tune", "--model", "bs", "--sigma", "0.2", "--T", "1", "--K", "100",
+         "--eps", "1e-8", "--n", "8", "--j", "40"],
+        "M = 6.939168087  L = 6.939168087  N = 179\n"
+        "  M: even-moment tail rule, order 8\n"
+        "  L: equal to M (semi-heavy tails)\n"
+        "  N: series bound at derivative order 40, H_41 from closed-form-gauss\n"),
+    "tune-fmls": (
+        ["tune", "--model", "fmls", "--alpha", "1.5597", "--sigma", "0.1486",
+         "--eps", "1e-2"],
+        "M = 69.03695125  L = 175.9622248  N = 5451\n"
+        "  M: Pareto tail-mass rule (index 1.56)\n"
+        "  L: max of M and the substitution-term rule\n"
+        "  N: series bound at derivative order 40, H_41 from closed-form-stable\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_STDOUT))
+def test_cli_stdout_unchanged(case, capsys):
+    argv, expected = CLI_STDOUT[case]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_cli_experiment_writes_csv(tmp_path, capsys):

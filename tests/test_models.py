@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -49,6 +50,23 @@ ALL_MODELS = [
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(ModelParameterError):
         bad()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("model", [BS(0.2), NIG(2.0, 1.0), VG(0.1, 0.2, -0.1),
+                                   FMLS(1.5, 0.1), Stable(1.5, 0.0, 1.0, 0.0)],
+                         ids=lambda m: type(m).__name__)
+def test_model_parameters_must_be_finite(model, bad):
+    for f in dataclasses.fields(model):
+        with pytest.raises(ModelParameterError):
+            dataclasses.replace(model, **{f.name: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["S0", "r", "T"])
+def test_market_context_must_be_finite(field, bad):
+    with pytest.raises(ModelParameterError):
+        dataclasses.replace(CTX, **{field: bad})
 
 
 def test_fmls_as_stable_exact_fields():
