@@ -160,31 +160,45 @@ def payoff_coefficients(payoff: Payoff, ctx: MarketContext, mu: float,
 
 
 def _compensated_dot(terms: np.ndarray) -> float:
-    """Error-free summation of the pricing series, accumulated from the
-    smallest (largest-k) terms upward."""
-    return math.fsum(terms[::-1])
+    """Correctly rounded sum of the pricing series.  math.fsum's result does
+    not depend on the order of its input; the list conversion spares it
+    unboxing one numpy scalar per term."""
+    return math.fsum(terms.tolist())
+
+
+def cos_prices(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
+               M: float, L: float, ns) -> list[float]:
+    """One price per series length in ns, all with ranges (M, L).
+
+    c_k and v_k depend on (L, k) alone, so one term vector of length
+    max(ns) + 1 serves every N: the price at N is the sum of its first N + 1
+    terms, bit for bit what a series built at N would give.  Calls add the
+    parity term S0 - K exp(-rT) on top of the put price; a payoff with no
+    mass on [-M, M] prices at 0 (plus parity for a call).
+    """
+    if _upper_limit(payoff, cf.mu) <= -M:
+        prices = [0.0] * len(ns)
+    else:
+        inner = Put(payoff.strike) if isinstance(payoff, Call) else payoff
+        n_max = max(ns)
+        terms = (cos_coefficients(cf, L, n_max)
+                 * payoff_coefficients(inner, ctx, cf.mu, M, L, n_max))
+        terms[0] *= 0.5
+        prices = [_compensated_dot(terms[:n + 1]) for n in ns]
+
+    if isinstance(payoff, Call):
+        parity = ctx.S0 - payoff.strike * math.exp(-ctx.r * ctx.T)
+        prices = [p + parity for p in prices]
+    return prices
 
 
 def cos_price(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
               params: CosParameters) -> PricingResult:
-    """Price = half-weighted series sum_k' c_k v_k; calls add the parity term
-    S0 - K exp(-rT) on top of the put price.  A payoff with no mass on
-    [-M, M] prices at 0 (plus parity for a call) with degenerate=True."""
+    """Price = half-weighted series sum_k' c_k v_k at the parameters' N (see
+    cos_prices).  A payoff with no mass on [-M, M] prices at 0 (plus parity
+    for a call) with degenerate=True."""
     t0 = time.perf_counter()
-    inner = Put(payoff.strike) if isinstance(payoff, Call) else payoff
-
-    degenerate = _upper_limit(inner, cf.mu) <= -params.M
-    if degenerate:
-        price = 0.0
-    else:
-        v = payoff_coefficients(inner, ctx, cf.mu, params.M, params.L, params.N)
-        terms = cos_coefficients(cf, params.L, params.N) * v
-        terms[0] *= 0.5
-        price = _compensated_dot(terms)
-
-    if isinstance(payoff, Call):
-        price += ctx.S0 - payoff.strike * math.exp(-ctx.r * ctx.T)
-
+    price, = cos_prices(cf, payoff, ctx, params.M, params.L, [params.N])
     return PricingResult(price=price, params=params, tol=params.tol,
                          elapsed_s=time.perf_counter() - t0,
-                         degenerate=degenerate)
+                         degenerate=_upper_limit(payoff, cf.mu) <= -params.M)

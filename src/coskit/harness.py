@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bounds import hj_density_sup, hj_numeric
 from .cos_engine import (Call, CosParameters, DigitalBelow, Payoff, Put,
-                         cos_price)
+                         cos_price, cos_prices)
 from .errors import (CosKitError, DampingInadmissible, IntegralDiverged,
                      ModelParameterError, MomentDoesNotExist, NoSmoothness,
                      NotReachedWithinCap, QuadratureFailure,
@@ -58,7 +58,10 @@ EXPERIMENT_IDS = ("table1", "vg_counterexample", "fmls_study",
 @dataclass(frozen=True)
 class ConvergenceRecord:
     """One sweep point: series length, half-range used, absolute error
-    against the reference, and the wall time of the pricing call."""
+    against the reference, and the wall time of the pricing call.  For the
+    optimal-range strategy every N of the sweep is priced from the same term
+    vectors, so elapsed_s is the whole grid search split evenly over the N
+    values."""
     N: int
     L: float
     error: float
@@ -83,14 +86,25 @@ class ExperimentConfig:
 
 def median_time_ms(fn, reps: int = 32, warmup: int = 4) -> float:
     """Median wall time of fn() in milliseconds (monotonic clock)."""
+    return _median_times_ms([fn], reps, warmup)[0]
+
+
+def _median_times_ms(fns, reps: int = 32, warmup: int = 4) -> list[float]:
+    """Median wall time in milliseconds of each callable, sampled in
+    alternation (the order reversed on every other round) so that all of
+    them see the same phases of host speed and a ratio of the medians
+    compares like with like."""
     for _ in range(warmup):
-        fn()
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - t0) * 1e3)
-    return statistics.median(samples)
+        for fn in fns:
+            fn()
+    samples = [[] for _ in fns]
+    for rep in range(reps):
+        order = range(len(fns)) if rep % 2 == 0 else reversed(range(len(fns)))
+        for i in order:
+            t0 = time.perf_counter()
+            fns[i]()
+            samples[i].append((time.perf_counter() - t0) * 1e3)
+    return [statistics.median(s) for s in samples]
 
 
 def fit_loglog_slope(ns, values, noise_floor: float = 1e-12,
@@ -276,11 +290,10 @@ def run_fmls_study(out: str | None = None, time_reps: int = 32) -> dict:
     n_min = find_nmin(cf, Call(s["K"]), ctx, params.L, params.M, reference,
                       s["tol"])
 
-    cpu_tuned = median_time_ms(
-        lambda: cos_price(cf, Call(s["K"]), ctx, params), reps=time_reps)
-    cpu_nmin = median_time_ms(
-        lambda: cos_price(cf, Call(s["K"]), ctx,
-                          CosParameters(params.M, params.L, n_min)),
+    cpu_tuned, cpu_nmin = _median_times_ms(
+        [lambda: cos_price(cf, Call(s["K"]), ctx, params),
+         lambda: cos_price(cf, Call(s["K"]), ctx,
+                           CosParameters(params.M, params.L, n_min))],
         reps=time_reps)
     cm_default = carr_madan_call(cf, ctx, s["K"],
                                  CarrMadanConfig(4096, 1.5, 1024.0))
@@ -337,30 +350,37 @@ def run_convergence(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
     """
     if not math.isfinite(reference):
         raise ReferenceUnavailable("reference price is not finite")
+    ns = [2 ** e for e in n_exponents]
     records = []
     optimal_rows = []
-    for e in n_exponents:
-        n = 2 ** e
+    if strategy[0] == "optimal" and ns:
+        # c_k and v_k do not depend on N, so one cos_prices call per L prices
+        # every N; the per-N arg-min (first minimum on ties) reads the N x L
+        # error table.  An empty sweep takes the loop below and records
+        # nothing.
+        grid = np.asarray(strategy[1], dtype=float)
         t0 = time.perf_counter()
-        if strategy[0] == "optimal":
-            grid = np.asarray(strategy[1], dtype=float)
-            errs = np.empty(grid.size)
-            for i, L in enumerate(grid):
-                res = cos_price(cf, payoff, ctx,
-                                CosParameters(M=L, L=L, N=n))
-                errs[i] = abs(res.price - reference)
-            i_best = int(np.argmin(errs))
-            L_used, err = float(grid[i_best]), float(errs[i_best])
+        table = np.empty((len(ns), grid.size))
+        for i, L in enumerate(grid):
+            table[:, i] = np.abs(
+                np.subtract(cos_prices(cf, payoff, ctx, L, L, ns), reference))
+        elapsed = (time.perf_counter() - t0) / len(ns)
+        for n, row in zip(ns, table):
+            i_best = int(np.argmin(row))
+            L_used, err = float(grid[i_best]), float(row[i_best])
             optimal_rows.append((n, L_used, err))
-        else:
+            records.append(ConvergenceRecord(N=n, L=L_used, error=err,
+                                             elapsed_s=elapsed))
+    else:
+        for n in ns:
+            t0 = time.perf_counter()
             L_used = _range_for(strategy, n)
             res = cos_price(cf, payoff, ctx,
                             CosParameters(M=L_used, L=L_used, N=n))
-            err = abs(res.price - reference)
-        records.append(ConvergenceRecord(N=n, L=L_used, error=err,
-                                         elapsed_s=time.perf_counter() - t0))
+            records.append(ConvergenceRecord(
+                N=n, L=L_used, error=abs(res.price - reference),
+                elapsed_s=time.perf_counter() - t0))
 
-    ns = [r.N for r in records]
     errs = [r.error for r in records]
     try:
         slope = fit_loglog_slope(ns, errs, noise_floor, fit_n_min)

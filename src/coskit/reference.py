@@ -52,12 +52,15 @@ def cauchy_cdf(x: float) -> float:
 
 def _oscillatory_quad(func, weight: str, wvar: float, epsabs: float) -> float:
     """QUADPACK Fourier integral on [0, inf) with a retry ladder; the rule can
-    emit garbage when pushed below roundoff on near-zero integrands."""
+    emit garbage when pushed below roundoff on near-zero integrands.  With
+    full_output QUADPACK reports trouble on a cycle in its return value
+    instead of an IntegrationWarning; the finite/magnitude check is what
+    decides a retry."""
     tol = epsabs
     for _ in range(3):
         with np.errstate(all="ignore"):
-            val, _ = quad(func, 0.0, np.inf, weight=weight, wvar=wvar,
-                          epsabs=tol, limit=400)
+            val = quad(func, 0.0, np.inf, weight=weight, wvar=wvar,
+                       epsabs=tol, limit=400, full_output=1)[0]
         if np.isfinite(val) and abs(val) < 1e100:
             return val
         tol *= 1e3

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from coskit.cos_engine import (Call, CosParameters, DigitalBelow, Put,
-                               cos_coefficients, cos_price,
+                               cos_coefficients, cos_price, cos_prices,
                                payoff_coefficients)
 from coskit.errors import DegeneratePayoffWarning
 from coskit.models import (BS, FMLS, VG, Cauchy, MarketContext,
@@ -141,6 +141,23 @@ def test_degenerate_flag_propagates_to_price(payoff, price):
 # ---------------------------------------------------------------------------
 # pricing
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model", [BS(0.2), FMLS(1.5597, 0.1486), Cauchy()],
+                         ids=["bs", "fmls", "cauchy"])
+@pytest.mark.parametrize("payoff", [
+    Put(100.0), Call(90.0), DigitalBelow(0.3), Put(1e-3), Call(1e-3),
+], ids=["put", "call", "digital", "degenerate-put", "degenerate-call"])
+def test_prefix_prices_equal_single_prices_bitwise(model, payoff):
+    # every N of one (M, L) is a prefix of the longest term vector, and
+    # math.fsum is correctly rounded, so sharing the vector moves no bit
+    cf = centralized_cf(model, CTX)
+    ns = [16, 179, 1024, 16384]
+    M, L = 6.0, 8.0
+    prices = cos_prices(cf, payoff, CTX, M, L, ns)
+    for n, price in zip(ns, prices):
+        assert price == cos_price(cf, payoff, CTX,
+                                  CosParameters(M, L, n)).price
+
 
 def test_bs_put_matches_analytic():
     params = CosParameters(M=1.6, L=1.6, N=256)

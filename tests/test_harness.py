@@ -1,5 +1,7 @@
+import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from coskit.cos_engine import Call, CosParameters, DigitalBelow, Put, cos_price
 from coskit.errors import NotReachedWithinCap
 from coskit.harness import (EXPERIMENT_IDS, ExperimentConfig, cli_main,
                             find_nmin, fit_loglog_slope, median_time_ms,
-                            run_convergence, run_experiment, run_table1,
-                            run_vg_counterexample, write_csv)
+                            run_convergence, run_experiment, run_l_optimal,
+                            run_table1, run_vg_counterexample, write_csv)
 from coskit.models import BS, Cauchy, MarketContext, centralized_cf
 from coskit.reference import black_scholes_call, black_scholes_put, cauchy_cdf
 
@@ -112,6 +114,19 @@ def test_records_are_sorted_and_nonnegative():
     ns = [r.N for r in res["records"]]
     assert ns == sorted(ns) and len(set(ns)) == len(ns)
     assert all(r.error >= 0.0 for r in res["records"])
+
+
+def test_optimal_ranges_match_recorded_rows():
+    # recorded when the sweep priced every (N, L) with its own series; one
+    # term vector per L must give the same rows and slope to the last bit
+    with open(Path(__file__).parent / "data" / "l_optimal_golden.json") as fh:
+        golden = json.load(fh)
+    res = run_l_optimal()
+    for key, want in golden.items():
+        got = res["results"][key]
+        assert len(got["optimal_rows"]) == 11
+        assert [list(r) for r in got["optimal_rows"]] == want["optimal_rows"]
+        assert got["range_slope"] == want["range_slope"]
 
 
 # ---------------------------------------------------------------------------
