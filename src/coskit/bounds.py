@@ -161,23 +161,79 @@ def hj_numeric(cf: CentralizedCF, order: int, rtol: float = 1e-8) -> DerivativeB
                            source=HjSource.NUMERIC_INTEGRAL)
 
 
+# hj_density_sup's screen: the looser QUADPACK tolerance, and the multiple of
+# QUADPACK's error estimate that widens each screened value into a band
+_SCREEN_EPSABS = 1e-8
+_SCREEN_BAND = 10.0
+
+
 def hj_density_sup(cf: CentralizedCF, order: int, span: float = 8.0,
                    n_scan: int = 121) -> DerivativeBound:
     """sup_x |f^(j)(x)| located by scanning a Fourier-inverted derivative grid
     and refining around the best point (oracle-grade; used where the integral
-    bound is too loose, e.g. the first derivative of a barely-C^1 density)."""
+    bound is too loose, e.g. the first derivative of a barely-C^1 density).
+
+    The scan takes the argmax of |f^(j)| over a log-spaced grid symmetric
+    about 0, and the refine searches between the argmax's two grid
+    neighbours.  Few grid points are inverted at full accuracy:
+    - screen: each point is inverted by the same QUADPACK rule at a looser
+      tolerance, and its value widened into a band by a multiple of
+      QUADPACK's error estimate.  When phi is real, QUADPACK's value at -x
+      is exactly -+ its value at x, so only x > 0 is screened, standing for
+      its mirror at -x;
+    - confirm: the points whose band reaches the highest lower end of a band
+      are inverted at full accuracy; the largest, the first in grid order on
+      ties as in a full scan, is the argmax;
+    - while a neighbour of the argmax is larger at full accuracy, it becomes
+      the argmax, so the bracket holds a local maximum, as in a full scan.
+    Every point is inverted on its own, so the value is the full scan's, bit
+    for bit, wherever the exact mirror and QUADPACK's error estimates hold.
+    At low frequency QUADPACK can miss the integrand and still report a tiny
+    error, at either tolerance (the innermost points of narrow densities);
+    the neighbour step has restored the full scan's argmax in every such
+    case tried, but there the equality rests on it, not on the estimates.
+    """
     from scipy.optimize import minimize_scalar
 
-    from .reference import derivative_by_inversion
+    from .reference import (_inversion_point, _nonzero_parts,
+                            derivative_by_inversion)
 
     # scan scale from the CF's decay: far past it the derivative is tiny
     scale = 1.0
     while abs(cf.phi(1.0 / scale)) > 0.5 and scale > 1e-12:
         scale /= 2.0
-    xs = np.concatenate([-np.geomspace(1e-3 * scale, span * scale, n_scan // 2)[::-1],
-                         np.geomspace(1e-3 * scale, span * scale, n_scan // 2)])
-    vals = np.abs(derivative_by_inversion(cf, order, xs))
-    i = int(np.argmax(vals))
+    half = np.geomspace(1e-3 * scale, span * scale, n_scan // 2)
+    xs = np.concatenate([-half[::-1], half])
+
+    mirror = not _nonzero_parts(cf.phi)[1]
+    screened = np.arange(half.size if mirror else 0, xs.size)
+    est = np.array([_inversion_point(cf.phi, float(xs[k]), order,
+                                     _SCREEN_EPSABS) for k in screened])
+    mid, band = np.abs(est[:, 0]), _SCREEN_BAND * est[:, 1]
+    picked = screened[mid + band >= np.max(mid - band)]
+    if mirror:
+        picked = xs.size - 1 - picked[::-1]
+
+    vals = {}
+
+    def confirm(idx):
+        new = [k for k in idx if k not in vals]
+        if new:
+            vals.update(zip(new, np.abs(
+                derivative_by_inversion(cf, order, xs[new]))))
+
+    def first_max(idx):
+        return max(idx, key=lambda k: (vals[k], -k))
+
+    confirm(picked)
+    i = first_max(picked)
+    while True:
+        near = [k for k in (i - 1, i + 1) if 0 <= k < xs.size]
+        confirm(near)
+        best = first_max([i] + near)
+        if best == i:
+            break
+        i = best
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, xs.size - 1)]
 

@@ -159,20 +159,16 @@ def payoff_coefficients(payoff: Payoff, ctx: MarketContext, mu: float,
     return disc * (K * _psi(-M, d, L, N) - math.exp(mu) * _chi(-M, d, L, N))
 
 
-def _compensated_dot(terms: np.ndarray) -> float:
-    """Correctly rounded sum of the pricing series.  math.fsum's result does
-    not depend on the order of its input; the list conversion spares it
-    unboxing one numpy scalar per term."""
-    return math.fsum(terms.tolist())
-
-
 def cos_prices(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
                M: float, L: float, ns) -> list[float]:
     """One price per series length in ns, all with ranges (M, L).
 
     c_k and v_k depend on (L, k) alone, so one term vector of length
     max(ns) + 1 serves every N: the price at N is the sum of its first N + 1
-    terms, bit for bit what a series built at N would give.  Calls add the
+    terms, bit for bit what a series built at N would give.  Each sum is
+    math.fsum's, correctly rounded whatever the order of its input, over one
+    list made from the term vector (a numpy array would make fsum unbox one
+    scalar per term); the longest N sums the whole list.  Calls add the
     parity term S0 - K exp(-rT) on top of the put price; a payoff with no
     mass on [-M, M] prices at 0 (plus parity for a call).
     """
@@ -184,7 +180,9 @@ def cos_prices(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
         terms = (cos_coefficients(cf, L, n_max)
                  * payoff_coefficients(inner, ctx, cf.mu, M, L, n_max))
         terms[0] *= 0.5
-        prices = [_compensated_dot(terms[:n + 1]) for n in ns]
+        terms = terms.tolist()
+        prices = [math.fsum(terms if n == n_max else terms[:n + 1])
+                  for n in ns]
 
     if isinstance(payoff, Call):
         parity = ctx.S0 - payoff.strike * math.exp(-ctx.r * ctx.T)

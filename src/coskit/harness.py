@@ -59,9 +59,9 @@ EXPERIMENT_IDS = ("table1", "vg_counterexample", "fmls_study",
 class ConvergenceRecord:
     """One sweep point: series length, half-range used, absolute error
     against the reference, and the wall time of the pricing call.  For the
-    optimal-range strategy every N of the sweep is priced from the same term
-    vectors, so elapsed_s is the whole grid search split evenly over the N
-    values."""
+    constant-range and optimal-range strategies every N of the sweep is
+    priced from the same term vectors, so elapsed_s is the time of the whole
+    sweep (the whole grid search) split evenly over the N values."""
     N: int
     L: float
     error: float
@@ -78,6 +78,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.n_max_exp < 4:
+            # every sweep starts at N = 2^4
+            raise ValueError(f"need n_max_exp >= 4, got {self.n_max_exp}")
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +326,12 @@ def run_fmls_study(out: str | None = None, time_reps: int = 32) -> dict:
 
 # --- convergence sweeps ----------------------------------------------------
 
-def _range_for(strategy: tuple, n: int) -> float | None:
+def _range_for(strategy: tuple, n: int) -> float:
     kind = strategy[0]
-    if kind == "constant":
-        return float(strategy[1])
     if kind == "sqrt":
         return float(strategy[1]) * math.sqrt(n)
     if kind == "linear":
         return float(strategy[1]) * n
-    if kind == "optimal":
-        return None
     raise ValueError(f"unknown range strategy {strategy!r}")
 
 
@@ -352,13 +351,12 @@ def run_convergence(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
         raise ReferenceUnavailable("reference price is not finite")
     ns = [2 ** e for e in n_exponents]
     records = []
-    optimal_rows = []
-    if strategy[0] == "optimal" and ns:
+    if strategy[0] in ("constant", "optimal") and ns:
         # c_k and v_k do not depend on N, so one cos_prices call per L prices
         # every N; the per-N arg-min (first minimum on ties) reads the N x L
-        # error table.  An empty sweep takes the loop below and records
-        # nothing.
-        grid = np.asarray(strategy[1], dtype=float)
+        # error table, and a constant range is the one-point grid.  An empty
+        # sweep takes the loop below and records nothing.
+        grid = np.atleast_1d(np.asarray(strategy[1], dtype=float))
         t0 = time.perf_counter()
         table = np.empty((len(ns), grid.size))
         for i, L in enumerate(grid):
@@ -367,10 +365,9 @@ def run_convergence(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
         elapsed = (time.perf_counter() - t0) / len(ns)
         for n, row in zip(ns, table):
             i_best = int(np.argmin(row))
-            L_used, err = float(grid[i_best]), float(row[i_best])
-            optimal_rows.append((n, L_used, err))
-            records.append(ConvergenceRecord(N=n, L=L_used, error=err,
-                                             elapsed_s=elapsed))
+            records.append(ConvergenceRecord(
+                N=n, L=float(grid[i_best]), error=float(row[i_best]),
+                elapsed_s=elapsed))
     else:
         for n in ns:
             t0 = time.perf_counter()
@@ -387,12 +384,11 @@ def run_convergence(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
     except ValueError:
         slope = math.nan
     out = {"records": records, "slope": slope, "strategy": strategy}
-    if optimal_rows:
-        l_slope = fit_loglog_slope([r[0] for r in optimal_rows],
-                                   [r[1] for r in optimal_rows],
-                                   noise_floor=0.0, n_min=fit_n_min)
-        out["optimal_rows"] = optimal_rows
-        out["range_slope"] = l_slope
+    if strategy[0] == "optimal" and records:
+        out["optimal_rows"] = [(r.N, r.L, r.error) for r in records]
+        out["range_slope"] = fit_loglog_slope(
+            [r.N for r in records], [r.L for r in records],
+            noise_floor=0.0, n_min=fit_n_min)
     return out
 
 

@@ -50,46 +50,68 @@ def cauchy_cdf(x: float) -> float:
 # Fourier inversion oracles
 # ---------------------------------------------------------------------------
 
-def _oscillatory_quad(func, weight: str, wvar: float, epsabs: float) -> float:
-    """QUADPACK Fourier integral on [0, inf) with a retry ladder; the rule can
-    emit garbage when pushed below roundoff on near-zero integrands.  With
-    full_output QUADPACK reports trouble on a cycle in its return value
-    instead of an IntegrationWarning; the finite/magnitude check is what
-    decides a retry."""
+def _oscillatory_quad(func, weight: str, wvar: float,
+                      epsabs: float) -> tuple[float, float]:
+    """QUADPACK Fourier integral on [0, inf) and its error estimate, with a
+    retry ladder; the rule can emit garbage when pushed below roundoff on
+    near-zero integrands.  With full_output QUADPACK reports trouble on a
+    cycle in its return value instead of an IntegrationWarning; the
+    finite/magnitude check is what decides a retry."""
     tol = epsabs
     for _ in range(3):
         with np.errstate(all="ignore"):
-            val = quad(func, 0.0, np.inf, weight=weight, wvar=wvar,
-                       epsabs=tol, limit=400, full_output=1)[0]
+            val, err = quad(func, 0.0, np.inf, weight=weight, wvar=wvar,
+                            epsabs=tol, limit=400, full_output=1)[:2]
         if np.isfinite(val) and abs(val) < 1e100:
-            return val
+            return val, err
         tol *= 1e3
     raise QuadratureFailure(f"oscillatory quadrature failed (weight={weight})")
 
 
-def _inversion_point(phi, x: float, j: int = 0, epsabs: float = 1e-12) -> float:
-    """f^(j)(x) = (1/pi) * Int_0^inf Re[(-iu)^j phi(u) exp(-iux)] du via the
-    oscillatory QUADPACK rules (split into cos and sin parts)."""
+def _inversion_integrand(phi, j: int):
+    """u -> (-iu)^j phi(u), whose real and imaginary parts are the cos and
+    sin parts of the inversion integral of f^(j)."""
     def g(u):
         return (-1j * u) ** j * phi(u) if j else phi(u)
+    return g
 
+
+def _nonzero_parts(phi, j: int = 0) -> tuple[bool, bool]:
+    """Whether the real and the imaginary part of (-iu)^j phi(u) are nonzero
+    somewhere on a fixed probe of u.  A symmetric model has a real phi, so
+    one part vanishes identically and f^(j) is even (j even) or odd (j odd)."""
+    probe = _inversion_integrand(phi, j)(np.geomspace(1e-3, 80.0, 32))
+    return (bool(np.max(np.abs(np.real(probe))) > 0.0),
+            bool(np.max(np.abs(np.imag(probe))) > 0.0))
+
+
+def _inversion_point(phi, x: float, j: int = 0,
+                     epsabs: float = 1e-12) -> tuple[float, float]:
+    """f^(j)(x) = (1/pi) * Int_0^inf Re[(-iu)^j phi(u) exp(-iux)] du via the
+    oscillatory QUADPACK rules (split into cos and sin parts), and the sum of
+    QUADPACK's error estimates for the parts."""
+    g = _inversion_integrand(phi, j)
     if abs(x) < 1e-12:
         # the Fourier kernel is flat at this scale and the oscillatory rules
         # misbehave at near-zero frequency
-        val, _ = quad(lambda u: float(np.real(g(u))), 0.0, np.inf,
-                      epsabs=epsabs, limit=400)
-        return val / math.pi
+        val, err = quad(lambda u: float(np.real(g(u))), 0.0, np.inf,
+                        epsabs=epsabs, limit=400, full_output=1)[:2]
+        return val / math.pi, err / math.pi
     # symmetric models make one component vanish identically; skip it rather
     # than hand QUADPACK an all-zero function at tight tolerance
-    probe = g(np.geomspace(1e-3, 80.0, 32))
-    total = 0.0
-    if np.max(np.abs(np.real(probe))) > 0.0:
-        total += _oscillatory_quad(lambda u: float(np.real(g(u))),
+    has_real, has_imag = _nonzero_parts(phi, j)
+    total, err = 0.0, 0.0
+    if has_real:
+        val, e = _oscillatory_quad(lambda u: float(np.real(g(u))),
                                    "cos", x, epsabs)
-    if np.max(np.abs(np.imag(probe))) > 0.0:
-        total += _oscillatory_quad(lambda u: float(np.imag(g(u))),
+        total += val
+        err += e
+    if has_imag:
+        val, e = _oscillatory_quad(lambda u: float(np.imag(g(u))),
                                    "sin", x, epsabs)
-    return total / math.pi
+        total += val
+        err += e
+    return total / math.pi, err / math.pi
 
 
 def density_by_inversion(cf: CentralizedCF, xs, epsabs: float = 1e-12):
@@ -97,7 +119,8 @@ def density_by_inversion(cf: CentralizedCF, xs, epsabs: float = 1e-12):
     inversion of its characteristic function (oracle-grade accuracy)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     try:
-        return np.array([_inversion_point(cf.phi, float(x), 0, epsabs) for x in xs])
+        return np.array([_inversion_point(cf.phi, float(x), 0, epsabs)[0]
+                         for x in xs])
     except Exception as exc:  # pragma: no cover - quadpack failure path
         raise QuadratureFailure(f"density inversion failed: {exc}") from exc
 
@@ -107,7 +130,8 @@ def derivative_by_inversion(cf: CentralizedCF, j: int, xs,
     """j-th derivative of the density on a grid, by Fourier inversion."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     try:
-        return np.array([_inversion_point(cf.phi, float(x), j, epsabs) for x in xs])
+        return np.array([_inversion_point(cf.phi, float(x), j, epsabs)[0]
+                         for x in xs])
     except Exception as exc:  # pragma: no cover
         raise QuadratureFailure(f"derivative inversion failed: {exc}") from exc
 

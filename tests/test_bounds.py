@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +113,63 @@ def test_vg_first_derivative_routes():
     assert sup.value == pytest.approx(217.95, rel=0.02)
     assert sup.value <= integral.value
     assert sup.source is HjSource.DENSITY_SUP
+
+
+# hj_density_sup cases: model, market and order; the values in
+# data/hj_density_sup_golden.json were recorded when every scan point was
+# inverted at full accuracy
+SUP_CASES = {
+    "vg_study_j1": (VG(0.1, 0.2, 0.0), CTX_VG, 1),
+    "vg_drift_j1": (VG(0.12, 0.2, -0.14), MarketContext(100.0, 0.02, 1.25), 1),
+    "nig_j1": (NIG(1.2, 0.8), CTX, 1),
+    "bs_j2": (BS(0.2), CTX, 2),
+    "nig_j3": (NIG(1.2, 0.8), CTX, 3),
+}
+SYMMETRIC_SUP_CASES = ("vg_study_j1", "nig_j1", "bs_j2", "nig_j3")
+
+
+def _sup_case(name):
+    model, ctx, order = SUP_CASES[name]
+    return centralized_cf(model, ctx), order
+
+
+@pytest.mark.parametrize("name", sorted(SUP_CASES))
+def test_density_sup_matches_full_scan_bitwise(name):
+    with open(Path(__file__).parent / "data" / "hj_density_sup_golden.json") as fh:
+        want = json.load(fh)[name]
+    cf, order = _sup_case(name)
+    assert hj_density_sup(cf, order).value == want
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_SUP_CASES)
+def test_inversion_mirrors_exactly_on_scan_grid(name):
+    # the screen inverts x > 0 only when phi is real; that rests on
+    # QUADPACK's value at -x being exactly (-1)^j times its value at x
+    from coskit.reference import derivative_by_inversion
+    cf, order = _sup_case(name)
+    scale = 1.0
+    while abs(cf.phi(1.0 / scale)) > 0.5:
+        scale /= 2.0
+    xs = np.geomspace(1e-3 * scale, 8.0 * scale, 60)
+    pos = derivative_by_inversion(cf, order, xs)
+    neg = derivative_by_inversion(cf, order, -xs)
+    assert np.array_equal(neg, (-1) ** order * pos)
+
+
+def test_density_sup_inverts_few_points_at_full_accuracy(monkeypatch):
+    import coskit.reference as reference
+    inverted = []
+    full = reference.derivative_by_inversion
+
+    def counted(cf, j, xs, epsabs=1e-12):
+        inverted.extend(np.atleast_1d(xs))
+        return full(cf, j, xs, epsabs)
+
+    monkeypatch.setattr(reference, "derivative_by_inversion", counted)
+    cf, order = _sup_case("vg_study_j1")
+    hj_density_sup(cf, order)
+    # a full scan inverts all 120 grid points plus the refine's 11
+    assert len(inverted) <= 20
 
 
 def test_vg_higher_order_diverges():

@@ -88,8 +88,17 @@ def test_put_coefficients_match_quadrature(M, L):
         assert abs(v[k] - oracle) < 1e-10, k
 
 
-@pytest.mark.parametrize("M,L,d", [(5.0, 5.0, 1.23), (3.0, 6.0, -0.4),
-                                   (2.0, 2.0, 0.1)])
+# on some k of these two ranges roundoff keeps the oracle's own quad calls
+# from reaching epsabs=1e-14, and they say so with an IntegrationWarning;
+# the check itself is 1e-10
+_QUAD_OVERASKED = pytest.mark.filterwarnings(
+    "ignore::scipy.integrate.IntegrationWarning")
+
+
+@pytest.mark.parametrize("M,L,d", [
+    (5.0, 5.0, 1.23),
+    pytest.param(3.0, 6.0, -0.4, marks=_QUAD_OVERASKED),
+    pytest.param(2.0, 2.0, 0.1, marks=_QUAD_OVERASKED)])
 def test_digital_coefficients_match_quadrature(M, L, d):
     v = payoff_coefficients(DigitalBelow(d), CTX, 0.0, M, L, 64)
     hi = min(d, M)

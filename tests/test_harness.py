@@ -10,8 +10,9 @@ from coskit.cos_engine import Call, CosParameters, DigitalBelow, Put, cos_price
 from coskit.errors import NotReachedWithinCap
 from coskit.harness import (EXPERIMENT_IDS, ExperimentConfig, cli_main,
                             find_nmin, fit_loglog_slope, median_time_ms,
-                            run_convergence, run_experiment, run_l_optimal,
-                            run_table1, run_vg_counterexample, write_csv)
+                            run_convergence, run_convergence_experiment,
+                            run_experiment, run_l_optimal, run_table1,
+                            run_vg_counterexample, write_csv)
 from coskit.models import BS, Cauchy, MarketContext, centralized_cf
 from coskit.reference import black_scholes_call, black_scholes_put, cauchy_cdf
 
@@ -129,6 +130,17 @@ def test_optimal_ranges_match_recorded_rows():
         assert got["range_slope"] == want["range_slope"]
 
 
+def test_convergence_studies_match_recorded_sweeps():
+    # recorded when every constant-range point was priced with its own series
+    with open(Path(__file__).parent / "data" / "convergence_golden.json") as fh:
+        golden = json.load(fh)
+    for key, want in golden.items():
+        results = run_convergence_experiment(key)["results"]
+        got = [[name, r.N, r.L, r.error]
+               for name, res in results.items() for r in res["records"]]
+        assert got == want
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -220,6 +232,9 @@ def test_cli_exit_codes(capsys):
     # no finite series length meets the tolerance
     assert cli_main(["price", "--model", "bs", "--sigma", "0.2",
                      "--eps", "1e-300"]) == 3
+    # every sweep starts at N = 2^4
+    assert cli_main(["experiment", "--id", "l_optimal",
+                     "--n-max-exp", "3"]) == 2
     capsys.readouterr()
 
 
