@@ -8,13 +8,12 @@ dot product of the two coefficient vectors.
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import DegeneratePayoffWarning
+from .errors import NotReachedWithinCap
 from .models import CentralizedCF, MarketContext
 
 __all__ = [
@@ -104,25 +103,34 @@ def cos_coefficients(cf: CentralizedCF, L: float, N: int) -> np.ndarray:
             - vals.imag * _SIN_QUARTER[quarter]) / L
 
 
-def _psi(a: float, b: float, L: float, N: int) -> np.ndarray:
-    """Integrals of the basis cosines: Int_a^b cos(k pi (x+L)/(2L)) dx."""
-    k = np.arange(N + 1)
-    out = np.empty(N + 1)
-    out[0] = b - a
-    kk = k[1:]
-    w = kk * (math.pi / (2.0 * L))
-    out[1:] = (np.sin(w * (b + L)) - np.sin(w * (a + L))) / w
-    return out
+def _basis_integrals(a: float, b: float, L: float, N: int,
+                     exp_weighted: bool) -> tuple:
+    """Integrals of the basis cosines over [a, b] for k = 0..N:
+    psi_k = Int_a^b cos(k pi (x+L)/(2L)) dx and, when exp_weighted,
+    chi_k = Int_a^b e^x cos(k pi (x+L)/(2L)) dx (else None).
 
-
-def _chi(a: float, b: float, L: float, N: int) -> np.ndarray:
-    """Exponential-weighted basis integrals:
-    Int_a^b e^x cos(k pi (x+L)/(2L)) dx."""
-    k = np.arange(N + 1)
-    w = k * (math.pi / (2.0 * L))
-    tb, ta = w * (b + L), w * (a + L)
-    return (math.exp(b) * (np.cos(tb) + w * np.sin(tb))
-            - math.exp(a) * (np.cos(ta) + w * np.sin(ta))) / (1.0 + w * w)
+    Both read one sine (and cosine) of the upper angle w (b+L).  The lower
+    angle w (a+L) is exactly 0 when a = -L, where its sine is 0 and its
+    cosine 1, so it is only evaluated when a + L != 0.
+    """
+    w = np.arange(N + 1) * (math.pi / (2.0 * L))
+    tb = w * (b + L)
+    sb = np.sin(tb)
+    lower = a + L != 0.0
+    if lower:
+        ta = w * (a + L)
+        sa = np.sin(ta)
+    psi = np.empty(N + 1)
+    psi[0] = b - a
+    psi[1:] = (sb[1:] - sa[1:] if lower else sb[1:]) / w[1:]
+    if not exp_weighted:
+        return psi, None
+    upper = math.exp(b) * (np.cos(tb) + w * sb)
+    if lower:
+        upper -= math.exp(a) * (np.cos(ta) + w * sa)
+    else:
+        upper -= math.exp(a)
+    return psi, upper / (1.0 + w * w)
 
 
 def _upper_limit(payoff: Payoff, mu: float) -> float:
@@ -142,21 +150,82 @@ def payoff_coefficients(payoff: Payoff, ctx: MarketContext, mu: float,
     k = 0..N, with v the discounted payoff of the centralized log-return.
 
     When the payoff has no mass on [-M, M] (its upper limit is <= -M) the
-    vector is zero and a DegeneratePayoffWarning is emitted.
+    vector is zero; cos_price reports such a price as degenerate.
     """
     if not (0.0 < M <= L):
         raise ValueError(f"need 0 < M <= L, got M={M}, L={L}")
     disc = math.exp(-ctx.r * ctx.T)
     d = _upper_limit(payoff, mu)
     if d <= -M:
-        warnings.warn("payoff has no mass on the integration range",
-                      DegeneratePayoffWarning)
         return np.zeros(N + 1)
     d = min(d, M)
-    if isinstance(payoff, DigitalBelow):
-        return disc * _psi(-M, d, L, N)
-    K = payoff.strike
-    return disc * (K * _psi(-M, d, L, N) - math.exp(mu) * _chi(-M, d, L, N))
+    digital = isinstance(payoff, DigitalBelow)
+    psi, chi = _basis_integrals(-M, d, L, N, exp_weighted=not digital)
+    if digital:
+        return disc * psi
+    return disc * (payoff.strike * psi - math.exp(mu) * chi)
+
+
+# Term vectors shorter than this are summed by math.fsum over a list, longer
+# ones in vector passes (the two cost the same at 1-2 k terms).
+_VECTOR_SUM_MIN = 1024
+# Longest series cos_prices builds.  Pricing peaks at 80-88 B per term, so
+# the cap is about 3 GB.
+_MAX_TERMS = 2 ** 25
+
+
+def _prefix_sums(terms: np.ndarray, ns) -> list[float]:
+    """The sum of terms[:n + 1] for each n in ns, correctly rounded: bit for
+    bit math.fsum's value, since a correctly rounded sum is unique.
+
+    Below _VECTOR_SUM_MIN terms, math.fsum reads one list made from the
+    vector (a numpy array would make it unbox one scalar per term).  Longer
+    vectors are split twice by error-free extraction (Rump, Ogita & Oishi,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
+    2008).  With sigma a power of two at least (n + 2) max|p|, the split
+    q = (sigma + p) - sigma lies on the grid of half an ulp of sigma, so every
+    running sum of q is exact and np.cumsum gives exact prefix sums.  Two
+    splits give exact P1 and P2, and the rest is bounded by R, the sum of its
+    magnitudes widened by its own rounding.  s = fl(P1 + P2) is the correctly
+    rounded sum wherever the exact error P1 + P2 - s, moved by +-R, stays
+    strictly inside half the gap to each neighbour of s and s is nonzero.
+    Any other prefix (a tie, a zero sum), and every prefix of a vector with
+    a non-finite term or a sigma above 2^1023, goes to math.fsum, which
+    keeps its exceptions.
+    """
+    n_terms = terms.size
+    scale = (n_terms + 1).bit_length()            # 2**scale >= n_terms + 2
+    top = (float(np.max(np.abs(terms))) if n_terms >= _VECTOR_SUM_MIN
+           else math.nan)
+    if not (math.isfinite(top) and math.frexp(top)[1] + scale <= 1023):
+        full = terms.tolist()
+        return [math.fsum(full if n == n_terms - 1 else full[:n + 1])
+                for n in ns]
+
+    # from here every partial sum is below 2^1023 in magnitude, so s and
+    # both its neighbours are finite
+    idx = np.asarray(ns)
+    rest, exact = terms, []
+    for _ in range(2):
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + scale)
+        q = rest + sigma
+        q -= sigma
+        rest = rest - q
+        exact.append(np.cumsum(q, out=q)[idx])
+        top = float(np.max(np.abs(rest, out=q)))
+    # q holds |rest|: its rounded running sums, widened by their own
+    # worst-case rounding, bound the rest of every prefix
+    bound = np.cumsum(q, out=q)[idx] * (1.0 + (n_terms + 1) * 2.0 ** -52)
+    p1, p2 = exact
+    s = p1 + p2
+    z = s - p1
+    err = (p1 - (s - z)) + (p2 - z)              # TwoSum: p1 + p2 == s + err
+    half_up = 0.5 * (np.nextafter(s, math.inf) - s)
+    half_down = 0.5 * (s - np.nextafter(s, -math.inf))
+    decided = ((s != 0.0) & (err + bound < half_up)
+               & (err - bound > -half_down)).tolist()
+    return [s_n if ok else math.fsum(terms[:n + 1].tolist())
+            for s_n, ok, n in zip(s.tolist(), decided, ns)]
 
 
 def cos_prices(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
@@ -164,25 +233,25 @@ def cos_prices(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
     """One price per series length in ns, all with ranges (M, L).
 
     c_k and v_k depend on (L, k) alone, so one term vector of length
-    max(ns) + 1 serves every N: the price at N is the sum of its first N + 1
-    terms, bit for bit what a series built at N would give.  Each sum is
-    math.fsum's, correctly rounded whatever the order of its input, over one
-    list made from the term vector (a numpy array would make fsum unbox one
-    scalar per term); the longest N sums the whole list.  Calls add the
-    parity term S0 - K exp(-rT) on top of the put price; a payoff with no
-    mass on [-M, M] prices at 0 (plus parity for a call).
+    max(ns) + 1 serves every N: the price at N is the correctly rounded sum
+    of its first N + 1 terms (_prefix_sums), bit for bit what a series built
+    at N would give.  Calls add the parity term S0 - K exp(-rT) on top of the
+    put price; a payoff with no mass on [-M, M] prices at 0 (plus parity for
+    a call).  A series longer than _MAX_TERMS terms raises
+    NotReachedWithinCap before anything is allocated.
     """
+    n_max = max(ns)
+    if n_max > _MAX_TERMS:
+        raise NotReachedWithinCap(
+            f"N = {n_max} exceeds the cap of {_MAX_TERMS} series terms")
     if _upper_limit(payoff, cf.mu) <= -M:
         prices = [0.0] * len(ns)
     else:
         inner = Put(payoff.strike) if isinstance(payoff, Call) else payoff
-        n_max = max(ns)
         terms = (cos_coefficients(cf, L, n_max)
                  * payoff_coefficients(inner, ctx, cf.mu, M, L, n_max))
         terms[0] *= 0.5
-        terms = terms.tolist()
-        prices = [math.fsum(terms if n == n_max else terms[:n + 1])
-                  for n in ns]
+        prices = _prefix_sums(terms, ns)
 
     if isinstance(payoff, Call):
         parity = ctx.S0 - payoff.strike * math.exp(-ctx.r * ctx.T)

@@ -44,7 +44,3 @@ class ReferenceUnavailable(CosKitError):
 
 class DampingInadmissible(CosKitError):
     """Damped moment E[S_T^(1+damping)] is infinite for this model."""
-
-
-class DegeneratePayoffWarning(UserWarning):
-    """Payoff has no mass on the integration range; coefficients are zero."""

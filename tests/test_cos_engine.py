@@ -1,17 +1,25 @@
+import json
 import math
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from coskit import cos_engine
 from coskit.cos_engine import (Call, CosParameters, DigitalBelow, Put,
                                cos_coefficients, cos_price, cos_prices,
                                payoff_coefficients)
-from coskit.errors import DegeneratePayoffWarning
-from coskit.models import (BS, FMLS, VG, Cauchy, MarketContext,
+from coskit.errors import NotReachedWithinCap
+from coskit.harness import run_l_optimal
+from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext,
                            centralized_cf, closed_form_density)
 from coskit.reference import black_scholes_put, cauchy_cdf
+from coskit.tuning import TuningRequest, tune
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)
 CF_BS = centralized_cf(BS(0.2), CTX)
@@ -122,14 +130,14 @@ def test_put_first_coefficient_closed_form():
     assert v[0] == pytest.approx(expect, rel=1e-14)
 
 
-def test_degenerate_payoffs_warn_and_zero():
-    with pytest.warns(DegeneratePayoffWarning):
+def test_degenerate_payoffs_are_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         v = payoff_coefficients(Put(math.exp(CF_BS.mu - 1.0)), CTX, CF_BS.mu,
                                 0.5, 0.5, 16)
-    assert np.all(v == 0.0)
-    with pytest.warns(DegeneratePayoffWarning):
+        assert np.all(v == 0.0)
         v = payoff_coefficients(DigitalBelow(-5.0), CTX, 0.0, 0.5, 0.5, 16)
-    assert np.all(v == 0.0)
+        assert np.all(v == 0.0)
 
 
 @pytest.mark.parametrize("payoff,price", [
@@ -151,21 +159,156 @@ def test_degenerate_flag_propagates_to_price(payoff, price):
 # pricing
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("model", [BS(0.2), FMLS(1.5597, 0.1486), Cauchy()],
-                         ids=["bs", "fmls", "cauchy"])
+def _fsum_price(cf, payoff, ctx, M, L, n):
+    """The half-weighted series at N = n from its own coefficient vectors,
+    summed by math.fsum: the reference for every pricing path."""
+    inner = Put(payoff.strike) if isinstance(payoff, Call) else payoff
+    terms = (cos_coefficients(cf, L, n)
+             * payoff_coefficients(inner, ctx, cf.mu, M, L, n))
+    terms[0] *= 0.5
+    price = math.fsum(terms.tolist())
+    if isinstance(payoff, Call):
+        price += ctx.S0 - payoff.strike * math.exp(-ctx.r * ctx.T)
+    return price
+
+
+@pytest.mark.parametrize("model", [
+    BS(0.2), FMLS(1.5597, 0.1486), Cauchy(), NIG(2.0, 0.2),
+    VG(0.12, 0.2, -0.14)], ids=["bs", "fmls", "cauchy", "nig", "vg-drift"])
 @pytest.mark.parametrize("payoff", [
     Put(100.0), Call(90.0), DigitalBelow(0.3), Put(1e-3), Call(1e-3),
 ], ids=["put", "call", "digital", "degenerate-put", "degenerate-call"])
 def test_prefix_prices_equal_single_prices_bitwise(model, payoff):
-    # every N of one (M, L) is a prefix of the longest term vector, and
-    # math.fsum is correctly rounded, so sharing the vector moves no bit
+    # every N of one (M, L) is a prefix of the longest term vector; its sum,
+    # by fsum below _VECTOR_SUM_MIN terms and by vector passes above, must be
+    # the fsum of the series built at that N alone
+    assert cos_engine._VECTOR_SUM_MIN == 1024
     cf = centralized_cf(model, CTX)
-    ns = [16, 179, 1024, 16384]
+    ns = [16, 179, 1022, 1023, 1024, 16384]
     M, L = 6.0, 8.0
     prices = cos_prices(cf, payoff, CTX, M, L, ns)
     for n, price in zip(ns, prices):
-        assert price == cos_price(cf, payoff, CTX,
-                                  CosParameters(M, L, n)).price
+        want = _fsum_price(cf, payoff, CTX, M, L, n)
+        assert price == want
+        assert cos_price(cf, payoff, CTX, CosParameters(M, L, n)).price == want
+
+
+def _assert_prefix_sums_are_fsums(values):
+    """Every prefix sum carries math.fsum's bits, the sign of zero included
+    (float.hex tells -0.0 from 0.0 and reads every nan alike), or the helper
+    raises what fsum raises at the first prefix it fails on."""
+    ns = list(range(len(values)))
+    try:
+        want = [math.fsum(values[:n + 1]).hex() for n in ns]
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            cos_engine._prefix_sums(np.array(values), ns)
+        return
+    got = cos_engine._prefix_sums(np.array(values), ns)
+    assert [g.hex() for g in got] == want
+
+
+_HARD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                2.0 ** -1000, -(2.0 ** -1000), 2.0 ** 1000, -(2.0 ** 1000),
+                1.0, -1.0, 2.0 ** -53, -(2.0 ** -53), 2.0 ** -54,
+                3 * 2.0 ** -54, 2.0 ** -106, 1.0 + 2.0 ** -52]
+_ADVERSARIAL = st.lists(
+    st.one_of(st.sampled_from(_HARD_FLOATS),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.floats(-1e3, 1e3)),
+    min_size=1, max_size=40)
+
+
+@st.composite
+def _term_vectors(draw, finite=True):
+    """Adversarial term vectors: hard floats (subnormals, signed zeros,
+    half-ulp ties, 2^+-1000), any finite float, cancelling pairs, shuffled;
+    with finite=False, also an inf or a nan."""
+    xs = draw(_ADVERSARIAL)
+    xs += [-x for x in draw(st.lists(st.sampled_from(xs), max_size=20))]
+    if not finite:
+        xs += draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]),
+                            min_size=1, max_size=2))
+    return draw(st.permutations(xs))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(_term_vectors(), _term_vectors(finite=False)))
+def test_prefix_sums_equal_fsum_of_every_prefix(values):
+    # the vector passes run on every length here
+    with mock.patch.object(cos_engine, "_VECTOR_SUM_MIN", 1):
+        _assert_prefix_sums_are_fsums(values)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_term_vectors(), st.integers(1023, 1500))
+def test_prefix_sums_equal_fsum_on_long_vectors(values, size):
+    # the same at the real size threshold: the vector is tiled to 1023-1500
+    # terms, so both the fsum and the vector path are taken
+    _assert_prefix_sums_are_fsums(np.resize(np.array(values), size).tolist())
+
+
+def test_l_optimal_prefixes_rarely_fall_back(monkeypatch):
+    # a prefix the vector passes cannot decide is summed again by math.fsum;
+    # over the l_optimal sweep that must stay rare
+    counts = {"prefixes": 0, "fsum": 0}
+    real_prefix_sums, real_fsum = cos_engine._prefix_sums, math.fsum
+
+    def prefix_sums(terms, ns):
+        assert terms.size >= cos_engine._VECTOR_SUM_MIN
+        counts["prefixes"] += len(ns)
+        return real_prefix_sums(terms, ns)
+
+    def fsum(values):
+        counts["fsum"] += 1
+        return real_fsum(values)
+
+    monkeypatch.setattr(cos_engine, "_prefix_sums", prefix_sums)
+    monkeypatch.setattr(cos_engine.math, "fsum", fsum)
+    run_l_optimal()
+    assert counts["prefixes"] == 2 * 201 * 11
+    assert counts["fsum"] <= 0.01 * counts["prefixes"]
+
+
+def test_series_longer_than_cap_raises_before_allocating():
+    cap = cos_engine._MAX_TERMS
+    assert cap == 2 ** 25
+    with mock.patch.object(cos_engine, "cos_coefficients",
+                           side_effect=AssertionError("allocated")):
+        with pytest.raises(NotReachedWithinCap):
+            cos_prices(CF_BS, Put(100.0), CTX, 1.6, 1.6, [16, cap + 1])
+        with pytest.raises(NotReachedWithinCap):
+            cos_price(CF_BS, Call(100.0), CTX, CosParameters(1.6, 1.6, cap + 1))
+
+
+# tests/data/m_below_l_golden.json was recorded when every prefix was summed
+# by math.fsum and psi/chi had one function each: FMLS tune outputs have
+# M < L, so the lower angle of the payoff integrals is nonzero
+M_BELOW_L_CASES = {
+    f"{kind} tol={tol:g}": (kind, tol)
+    for kind, tols in (("put", (0.2, 0.01)), ("call", (0.2, 0.01)),
+                       ("digital", (0.01, 0.001)))
+    for tol in tols}
+
+
+def _m_below_l_outcome(kind, tol):
+    ctx = MarketContext(100.0, 0.0, 1.0)
+    model = FMLS(1.5597, 0.1486)
+    payoff, bound = {"put": (Put(90.0), 90.0), "call": (Call(110.0), 110.0),
+                     "digital": (DigitalBelow(-0.3), 1.0)}[kind]
+    params = tune(TuningRequest(model, ctx, bound, tol))
+    price = cos_price(centralized_cf(model, ctx), payoff, ctx, params).price
+    return {"M": params.M, "L": params.L, "N": params.N, "price": price}
+
+
+def test_m_below_l_prices_match_recorded():
+    with open(Path(__file__).parent / "data" / "m_below_l_golden.json") as fh:
+        golden = json.load(fh)
+    got = {key: _m_below_l_outcome(*case)
+           for key, case in M_BELOW_L_CASES.items()}
+    assert got == golden
+    assert all(g["M"] < g["L"] for g in golden.values())
+    assert {g["N"] < 1023 for g in golden.values()} == {True, False}
 
 
 def test_bs_put_matches_analytic():

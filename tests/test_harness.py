@@ -232,6 +232,10 @@ def test_cli_exit_codes(capsys):
     # no finite series length meets the tolerance
     assert cli_main(["price", "--model", "bs", "--sigma", "0.2",
                      "--eps", "1e-300"]) == 3
+    # the square-root rule certifies N = 3.5e15, above the term cap
+    assert cli_main(["price", "--model", "vg", "--sigma", "0.1", "--nu", "0.2",
+                     "--T", "0.25", "--eps", "1e-2", "--n", "4",
+                     "--payoff", "call"]) == 3
     # every sweep starts at N = 2^4
     assert cli_main(["experiment", "--id", "l_optimal",
                      "--n-max-exp", "3"]) == 2
