@@ -7,8 +7,8 @@ under three models and check the certificate against independent references.
 """
 
 from coskit import (BS, NIG, VG, MarketContext, Put, TuningRequest,
-                    black_scholes_put, carr_madan_call, centralized_cf,
-                    cos_price, tune)
+                    centralized_cf, cos_price, tune)
+from coskit.reference import black_scholes_put, carr_madan_call
 
 ctx = MarketContext(S0=100.0, r=0.01, T=1.0)
 K = 105.0

@@ -1,21 +1,20 @@
-"""Derivative bounds, the series-truncation bound, and range-truncation
-(B-term) bounds.
+"""Certified bounds: derivative bounds, the series-truncation bound, and
+range-truncation (B-term) bounds.
 
-These feed the parameter-selection rules in `tuning` and the validation
-suite: closed-form and numeric uniform bounds on density derivatives, the
-integration-by-parts bound on the cosine-series tail, and closed-form upper
-bounds for the coefficient-substitution term B(L) together with a brute-force
-partial-sum evaluation used as a test oracle.
+These feed the parameter-selection rules in `tuning`: closed-form and
+numeric uniform bounds on density derivatives, the integration-by-parts
+bound on the cosine-series tail, and closed-form upper bounds for the
+coefficient-substitution term B(L).  The oracles that check them (the
+scanned density-derivative sup, the tail integrals and the brute-force
+B(L) partial sum) live in `reference`.
 """
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, roots_legendre
+from scipy.special import gammaln
 
 from .errors import IntegralDiverged, NoClosedForm, QuadratureFailure
 from .models import (BS, FMLS, NIG, VG, Cauchy, CentralizedCF, MarketContext,
@@ -23,8 +22,7 @@ from .models import (BS, FMLS, NIG, VG, Cauchy, CentralizedCF, MarketContext,
 
 __all__ = [
     "HjSource", "DerivativeBound", "hj_closed_form", "hj_numeric",
-    "hj_density_sup", "series_truncation_bound", "bl_bound_semiheavy",
-    "bl_bound_heavy", "BLPartialSum", "bl_bruteforce", "tail_cos_integrals",
+    "series_truncation_bound", "bl_bound_semiheavy", "bl_bound_heavy",
 ]
 
 
@@ -108,7 +106,11 @@ def hj_closed_form(model: ModelSpec, ctx: MarketContext, order: int) -> Derivati
     return DerivativeBound(order=order, value=value, log_value=lv, source=src)
 
 
-def hj_numeric(cf: CentralizedCF, order: int, rtol: float = 1e-8) -> DerivativeBound:
+# relative tolerance of hj_numeric's octave quadratures and of its stop rule
+_HJ_RTOL = 1e-8
+
+
+def hj_numeric(cf: CentralizedCF, order: int) -> DerivativeBound:
     """Numeric derivative bound (1/pi) Int_0^inf u^j |phi(u)| du.
 
     Integrates octave by octave with adaptive quadrature, doubling the upper
@@ -117,6 +119,10 @@ def hj_numeric(cf: CentralizedCF, order: int, rtol: float = 1e-8) -> DerivativeB
     (density not smooth enough, e.g. VG at short maturity), including when
     u^j overflows before the integrand has decayed.
     """
+    # scipy.integrate imports scipy.optimize; importing it here keeps both
+    # out of a process that imports the pricing modules and never calls this
+    from scipy.integrate import quad
+
     j = order
 
     def g(u):
@@ -140,14 +146,14 @@ def hj_numeric(cf: CentralizedCF, order: int, rtol: float = 1e-8) -> DerivativeB
     total, err_acc = 0.0, 0.0
     lo, hi = 0.0, 4.0 * u_peak
     for _ in range(72):
-        val, err = quad(g, lo, hi, epsrel=rtol, epsabs=1e-300, limit=200)
+        val, err = quad(g, lo, hi, epsrel=_HJ_RTOL, epsabs=1e-300, limit=200)
         total += val
         err_acc += abs(err)
         # slowly decaying octaves shrink geometrically, so the dropped tail is
         # a small multiple of the last octave; require both the integrand and
         # the octave contribution to be negligible
         done_decay = g(hi) < 1e-16 * peak_val
-        done_tail = abs(val) < 0.25 * rtol * abs(total)
+        done_tail = abs(val) < 0.25 * _HJ_RTOL * abs(total)
         if done_decay and done_tail:
             break
         lo, hi = hi, 2.0 * hi
@@ -159,92 +165,6 @@ def hj_numeric(cf: CentralizedCF, order: int, rtol: float = 1e-8) -> DerivativeB
     value = total / math.pi
     return DerivativeBound(order=j, value=value, log_value=math.log(value),
                            source=HjSource.NUMERIC_INTEGRAL)
-
-
-# hj_density_sup's screen: the looser QUADPACK tolerance, and the multiple of
-# QUADPACK's error estimate that widens each screened value into a band
-_SCREEN_EPSABS = 1e-8
-_SCREEN_BAND = 10.0
-
-
-def hj_density_sup(cf: CentralizedCF, order: int, span: float = 8.0,
-                   n_scan: int = 121) -> DerivativeBound:
-    """sup_x |f^(j)(x)| located by scanning a Fourier-inverted derivative grid
-    and refining around the best point (oracle-grade; used where the integral
-    bound is too loose, e.g. the first derivative of a barely-C^1 density).
-
-    The scan takes the argmax of |f^(j)| over a log-spaced grid symmetric
-    about 0, and the refine searches between the argmax's two grid
-    neighbours.  Few grid points are inverted at full accuracy:
-    - screen: each point is inverted by the same QUADPACK rule at a looser
-      tolerance, and its value widened into a band by a multiple of
-      QUADPACK's error estimate.  When phi is real, QUADPACK's value at -x
-      is exactly -+ its value at x, so only x > 0 is screened, standing for
-      its mirror at -x;
-    - confirm: the points whose band reaches the highest lower end of a band
-      are inverted at full accuracy; the largest, the first in grid order on
-      ties as in a full scan, is the argmax;
-    - while a neighbour of the argmax is larger at full accuracy, it becomes
-      the argmax, so the bracket holds a local maximum, as in a full scan.
-    Every point is inverted on its own, so the value is the full scan's, bit
-    for bit, wherever the exact mirror and QUADPACK's error estimates hold.
-    At low frequency QUADPACK can miss the integrand and still report a tiny
-    error, at either tolerance (the innermost points of narrow densities);
-    the neighbour step has restored the full scan's argmax in every such
-    case tried, but there the equality rests on it, not on the estimates.
-    """
-    from scipy.optimize import minimize_scalar
-
-    from .reference import (_inversion_point, _nonzero_parts,
-                            derivative_by_inversion)
-
-    # scan scale from the CF's decay: far past it the derivative is tiny
-    scale = 1.0
-    while abs(cf.phi(1.0 / scale)) > 0.5 and scale > 1e-12:
-        scale /= 2.0
-    half = np.geomspace(1e-3 * scale, span * scale, n_scan // 2)
-    xs = np.concatenate([-half[::-1], half])
-
-    mirror = not _nonzero_parts(cf.phi)[1]
-    screened = np.arange(half.size if mirror else 0, xs.size)
-    est = np.array([_inversion_point(cf.phi, float(xs[k]), order,
-                                     _SCREEN_EPSABS) for k in screened])
-    mid, band = np.abs(est[:, 0]), _SCREEN_BAND * est[:, 1]
-    picked = screened[mid + band >= np.max(mid - band)]
-    if mirror:
-        picked = xs.size - 1 - picked[::-1]
-
-    vals = {}
-
-    def confirm(idx):
-        new = [k for k in idx if k not in vals]
-        if new:
-            vals.update(zip(new, np.abs(
-                derivative_by_inversion(cf, order, xs[new]))))
-
-    def first_max(idx):
-        return max(idx, key=lambda k: (vals[k], -k))
-
-    confirm(picked)
-    i = first_max(picked)
-    while True:
-        near = [k for k in (i - 1, i + 1) if 0 <= k < xs.size]
-        confirm(near)
-        best = first_max([i] + near)
-        if best == i:
-            break
-        i = best
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, xs.size - 1)]
-
-    def neg(x):
-        return -abs(derivative_by_inversion(cf, order, [x])[0])
-
-    res = minimize_scalar(neg, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10 * scale})
-    value = max(float(-res.fun), float(vals[i]))
-    return DerivativeBound(order=order, value=value, log_value=math.log(value),
-                           source=HjSource.DENSITY_SUP)
 
 
 # ---------------------------------------------------------------------------
@@ -302,71 +222,3 @@ def bl_bound_heavy(amplitude: float, index: float, L: float) -> float:
     a, al = amplitude, index
     return 2.0 * a * math.sqrt(1.0 / (al * al) + 2.0 / 3.0) \
         * L ** (-(1.0 + 2.0 * al) / 2.0)
-
-
-@dataclass(frozen=True)
-class BLPartialSum:
-    """Brute-force partial sum of the B(L) series plus a reported (not
-    certified) estimate of the dropped tail."""
-    partial: float
-    k_max: int
-    tail_estimate: float
-
-    @property
-    def sqrt_partial(self) -> float:
-        return math.sqrt(self.partial)
-
-
-def tail_cos_integrals(cf: CentralizedCF, density: Callable, L: float,
-                       k_max: int, nodes_per_panel: int = 12) -> np.ndarray:
-    """I_k = Int_{|x|>L} f(x) cos(k pi (x+L)/(2L)) dx for k = 0..k_max,
-    evaluated through the identity I_k = L (c_k - a_k): c_k comes from the CF
-    and a_k from composite Gauss-Legendre quadrature of the density on [-L, L].
-
-    The identity is exact; accuracy is set by the quadrature of a_k, so tail
-    masses far below ~1e-13 drown in cancellation noise (fine for oracle use
-    at moderate L).
-    """
-    n_panels = max(32, k_max // 2)
-    xg, wg = roots_legendre(nodes_per_panel)
-    edges = np.linspace(-L, L, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    ws = (half[:, None] * wg[None, :]).ravel()
-    fx = density(xs) * ws
-
-    k = np.arange(k_max + 1)
-    from .cos_engine import cos_coefficients
-    c = cos_coefficients(cf, L, k_max)
-    # a_k in manageable blocks: cos matrix is (k, nodes)
-    a = np.empty(k_max + 1)
-    blk = max(1, 4_000_000 // xs.size)
-    for i in range(0, k_max + 1, blk):
-        kb = k[i:i + blk, None]
-        a[i:i + blk] = (np.cos(kb * (math.pi / (2.0 * L)) * (xs[None, :] + L))
-                        @ fx) / L
-    return L * (c - a)
-
-
-def bl_bruteforce(tail_integrals, L: float, k_max: int = 10_000,
-                  boundary_density: tuple[float, float] | None = None) -> BLPartialSum:
-    """Partial sum of B(L) = sum_k (1/L) I_k^2 from precomputed tail
-    integrals (a callable k_max -> I_k array, or the array itself).
-
-    The result is a lower bound on B(L); the reported tail estimate uses the
-    per-term majorant (2L/(k pi))^2 (f(L)^2 + f(-L)^2)/L for monotone tails
-    when boundary densities are supplied.
-    """
-    if callable(tail_integrals):
-        ik = np.asarray(tail_integrals(k_max), dtype=float)
-    else:
-        ik = np.asarray(tail_integrals, dtype=float)
-    if ik.size < k_max + 1:
-        raise ValueError("need tail integrals for k = 0..k_max")
-    partial = float(np.sum(ik[:k_max + 1] ** 2) / L)
-    tail = 0.0
-    if boundary_density is not None:
-        f_r, f_l = boundary_density
-        tail = 8.0 * L / (math.pi ** 2 * k_max) * (f_r ** 2 + f_l ** 2)
-    return BLPartialSum(partial=partial, k_max=k_max, tail_estimate=tail)

@@ -15,11 +15,9 @@ import time
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import roots_legendre
 
-from coskit.bounds import (bl_bound_heavy, bl_bound_semiheavy, bl_bruteforce,
-                           hj_closed_form, hj_density_sup, hj_numeric,
-                           series_truncation_bound)
+from coskit.bounds import (bl_bound_heavy, bl_bound_semiheavy, hj_closed_form,
+                           hj_numeric, series_truncation_bound)
 from coskit.cos_engine import (DigitalBelow, Put, cos_coefficients,
                                cos_price, payoff_coefficients)
 from coskit.errors import NoClosedForm
@@ -30,8 +28,10 @@ from coskit.harness import (CAUCHY_DIGITAL_SETUP, OPTIMAL_RANGE_GRID,
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext,
                            SemiHeavyTail, Stable, centralized_cf,
                            closed_form_density, tail_profile)
-from coskit.reference import (black_scholes_put, density_by_inversion,
-                              density_on_grid, derivative_by_inversion)
+from coskit.reference import (bl_bruteforce, black_scholes_put,
+                              density_by_inversion, density_cos_coefficients,
+                              density_on_grid, derivative_by_inversion,
+                              gauss_tail_cos_integrals, hj_density_sup)
 from coskit.tuning import TuningRequest, tune
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)
@@ -282,37 +282,6 @@ def test_criterion_6_optimal_range_slopes():
 # 7. bound validity on randomized configurations
 # ---------------------------------------------------------------------------
 
-def _gauss_tail_exact(k_max, L, s):
-    from scipy.special import wofz
-    ks = np.arange(k_max + 1)
-    w = ks * math.pi / (2.0 * L)
-    z = (w * s * s + 1j * L) / (s * math.sqrt(2.0))
-    half = 0.5 * math.exp(-L * L / (2 * s * s)) * np.exp(1j * L * w) * wofz(z)
-    out = 2.0 * half.real
-    out[ks % 4 == 2] *= -1.0
-    out[ks % 2 == 1] = 0.0
-    return out
-
-
-def _gl_cosine_coeffs(dens, L, k_max):
-    n_panels = max(64, k_max // 2)
-    xg, wg = roots_legendre(12)
-    edges = np.linspace(-L, L, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    ws = (half[:, None] * wg[None, :]).ravel()
-    fx = dens(xs) * ws
-    k = np.arange(k_max + 1)
-    out = np.empty(k_max + 1)
-    blk = max(1, 4_000_000 // xs.size)
-    for i in range(0, k_max + 1, blk):
-        kb = k[i:i + blk, None]
-        out[i:i + blk] = (np.cos(kb * (math.pi / (2 * L)) * (xs[None, :] + L))
-                          @ fx) / L
-    return out
-
-
 def _draw_config(rng):
     kind = rng.choice(["bs", "nig", "vg", "cauchy", "fmls", "stable"],
                       p=[0.30, 0.25, 0.15, 0.18, 0.07, 0.05])
@@ -364,11 +333,11 @@ def test_criterion_7_bound_validity():
         cf = centralized_cf(model, ctx)
         dens = closed_form_density(model, ctx)
         if dens is None:
-            dens = (lambda c: lambda xs: density_on_grid(c, np.asarray(xs)))(cf)
+            dens = (lambda c: lambda xs: density_on_grid(c, xs))(cf)
 
         k_max_b = 1024
         k_big = int(max(4 * N, N + 2048, k_max_b))
-        a = _gl_cosine_coeffs(dens, L, k_big)
+        a = density_cos_coefficients(dens, L, k_big)
 
         # series-tail side: bound with oracle boundary values vs the true norm
         truth = math.sqrt(L * float(np.sum(a[N + 1:] ** 2)))
@@ -386,7 +355,8 @@ def test_criterion_7_bound_validity():
 
         # B(L) side: closed-form bound vs brute-force partial sum
         if isinstance(model, BS):
-            iks = _gauss_tail_exact(k_max_b, L, model.sigma * math.sqrt(ctx.T))
+            iks = gauss_tail_cos_integrals(L, model.sigma * math.sqrt(ctx.T),
+                                           k_max_b)
         else:
             c = cos_coefficients(cf, L, k_max_b)
             iks = L * (c - a[:k_max_b + 1])

@@ -8,12 +8,12 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from coskit.bounds import (HjSource, bl_bound_heavy, bl_bound_semiheavy,
-                           bl_bruteforce, hj_closed_form, hj_density_sup,
-                           hj_numeric, series_truncation_bound,
-                           tail_cos_integrals)
+                           hj_closed_form, hj_numeric, series_truncation_bound)
 from coskit.errors import IntegralDiverged, NoClosedForm
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext, Stable,
                            centralized_cf, closed_form_density, tail_profile)
+from coskit.reference import (bl_bruteforce, gauss_tail_cos_integrals,
+                              hj_density_sup, tail_cos_integrals)
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)
 CTX_VG = MarketContext(S0=100.0, r=0.0, T=0.25)
@@ -282,30 +282,16 @@ def test_bl_partial_sum_decreasing_in_l_for_bs():
     assert all(a > b for a, b in zip(partials, partials[1:]))
 
 
-def _gauss_tail_cos_exact(k, L, s):
-    """Int_{|x|>L} f cos(k pi (x+L)/(2L)) dx for a centered Gaussian through
-    the Faddeeva function (exact and overflow-safe arbitrarily deep into the
-    tail): exp(-w^2 s^2/2) erfc((L - i w s^2)/(s sqrt2))
-         = exp(-L^2/(2 s^2)) exp(i L w) wofz((w s^2 + i L)/(s sqrt2))."""
-    from scipy.special import wofz
-    w = k * math.pi / (2.0 * L)
-    z = (w * s * s + 1j * L) / (s * math.sqrt(2.0))
-    half = 0.5 * math.exp(-L * L / (2.0 * s * s)) * np.exp(1j * L * w) * wofz(z)
-    val = half.real
-    if k % 4 == 0:
-        return 2.0 * val
-    if k % 2 == 0:
-        return -2.0 * val
-    return 0.0
-
-
 def test_gauss_tail_integrals_match_exact_per_term():
+    # k_max = 2049 runs past the DFT period 2P = 2048 of the quadrature's
+    # 1024 panels, so k = 2048 and 2049 are read back at k mod 2P = 0 and 1
     s, L = 0.2, 5 * 0.2
     cf = centralized_cf(BS(0.2), CTX)
     dens = closed_form_density(BS(0.2), CTX)
-    iks = tail_cos_integrals(cf, dens, L, 64)
-    exact = np.array([_gauss_tail_cos_exact(k, L, s) for k in range(65)])
-    assert np.max(np.abs(iks - exact)) < 1e-10
+    for k_max in (64, 2049):
+        iks = tail_cos_integrals(cf, dens, L, k_max)
+        exact = gauss_tail_cos_integrals(L, s, k_max)
+        assert np.max(np.abs(iks - exact)) < 1e-10, k_max
 
 
 def test_gauss_partial_sum_below_semiheavy_bound_deep_tail():
@@ -314,7 +300,7 @@ def test_gauss_partial_sum_below_semiheavy_bound_deep_tail():
     s = 0.2
     L = 8 * s
     prof = tail_profile(BS(0.2), CTX)
-    exact = np.array([_gauss_tail_cos_exact(k, L, s) for k in range(1025)])
+    exact = gauss_tail_cos_integrals(L, s, 1024)
     ps = bl_bruteforce(exact, L, 1024)
     bound = bl_bound_semiheavy(prof.amplitude, prof.rate, L, L)
     assert ps.sqrt_partial <= bound

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -179,6 +183,20 @@ def test_grid_inversion_matches_adaptive():
                                rtol=0, atol=1e-7)
 
 
+def test_grid_inversion_takes_uniform_columns_only():
+    # each column of a 2-D grid is one chirp z-transform; the columns share
+    # their step, and a grid that is not uniform along axis 0 is refused
+    cf = centralized_cf(FMLS(1.5597, 0.1486), CTX)
+    cols = np.linspace(-4.0, 1.5, 23)[:, None] + np.array([0.0, 0.05, 0.11])
+    got = density_on_grid(cf, cols)
+    assert got.shape == cols.shape
+    for c in range(cols.shape[1]):
+        np.testing.assert_allclose(got[:, c], density_on_grid(cf, cols[:, c]),
+                                   rtol=0, atol=1e-13)
+    with pytest.raises(ValueError):
+        density_on_grid(cf, np.geomspace(0.1, 2.0, 9))
+
+
 # ---------------------------------------------------------------------------
 # cross-pricer agreement
 # ---------------------------------------------------------------------------
@@ -219,3 +237,26 @@ def test_two_pricers_agree_for_smooth_vg():
         cos_put = cos_price(cf, Put(K), ctx, params).price
         cm_put = carr_madan_call(cf, ctx, K) - ctx.S0 + K * math.exp(-ctx.r * ctx.T)
         assert abs(cos_put - cm_put) <= 2 * tol
+
+
+# ---------------------------------------------------------------------------
+# the oracle home
+# ---------------------------------------------------------------------------
+
+def test_pricing_modules_import_no_oracles():
+    # tuning, pricing and the certified bounds load neither the oracles nor
+    # scipy.optimize (which scipy.integrate pulls in); the harness, which
+    # imports the oracles, still leaves out scipy.signal, which only
+    # density_on_grid needs
+    import coskit
+    code = ("import sys\n"
+            "import coskit.tuning, coskit.cos_engine, coskit.bounds\n"
+            "print(sorted(m for m in ('coskit.reference', 'scipy.optimize')\n"
+            "             if m in sys.modules))\n"
+            "import coskit.harness\n"
+            "print('scipy.signal' in sys.modules)\n")
+    src = str(Path(coskit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["[]", "False"]

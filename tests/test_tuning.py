@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from coskit import tuning
-from coskit.bounds import hj_closed_form, hj_density_sup, hj_numeric
+from coskit.bounds import hj_closed_form, hj_numeric
 from coskit.cos_engine import Call, DigitalBelow, Put, cos_price
 from coskit.errors import (CosKitError, IntegralDiverged, NoClosedForm,
                            NoSmoothness, NotReachedWithinCap,
                            ToleranceTooLoose)
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext,
                            centralized_cf)
-from coskit.reference import black_scholes_put, carr_madan_call, cauchy_cdf
+from coskit.reference import (black_scholes_put, carr_madan_call, cauchy_cdf,
+                              hj_density_sup)
 from coskit.tuning import TuningRequest, minimize_series_order, tune
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)
