@@ -2,8 +2,8 @@
 
 Reproduces the benchmark studies at desk scale -- the series-length table for
 the lognormal put, the variance-gamma counterexample, the heavy-tail study,
-and the convergence-order sweeps -- writing deterministic CSV (timings live
-in columns tagged non-deterministic).  Also exposes `price`, `tune` and
+and the convergence-order sweeps -- writing deterministic CSV (every timing
+is listed as a nondeterministic field).  Also exposes `price`, `tune` and
 `experiment` subcommands.
 """
 
@@ -12,7 +12,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +20,9 @@ from . import __version__
 from .bounds import hj_numeric
 from .cos_engine import (Call, CosParameters, DigitalBelow, Payoff, Put,
                          cos_price, cos_prices)
-from .errors import (CosKitError, DampingInadmissible, IntegralDiverged,
-                     ModelParameterError, MomentDoesNotExist, NoSmoothness,
-                     NotReachedWithinCap, QuadratureFailure,
-                     ReferenceUnavailable, ToleranceTooLoose)
+from .errors import (CosKitError, ModelParameterError, MomentDoesNotExist,
+                     NoSmoothness, NotReachedWithinCap, ReferenceUnavailable,
+                     ToleranceTooLoose)
 from .models import (BS, FMLS, NIG, VG, Cauchy, CentralizedCF, MarketContext,
                      ModelSpec, Stable, centralized_cf, tail_profile)
 from .reference import (CarrMadanConfig, black_scholes_call,
@@ -50,19 +49,17 @@ FMLS_SETUP = dict(alpha=1.5597, sigma=0.1486, T=1.0, S0=100.0, K=100.0,
 CAUCHY_DIGITAL_SETUP = dict(threshold=1.23)
 # log-spaced candidate half-ranges for the optimal-range search
 OPTIMAL_RANGE_GRID = np.exp(0.07 * np.arange(201))
-
-EXPERIMENT_IDS = ("table1", "vg_counterexample", "fmls_study",
-                  "convergence_bs", "convergence_cauchy", "convergence_fmls",
-                  "l_optimal")
+# the asymptotic window of the convergence-order fits
+_FIT_NOISE_FLOOR = 1e-12
+_FIT_N_MIN = 64
 
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
     """One sweep point: series length, half-range used, absolute error
-    against the reference, and the wall time of the pricing call.  For the
-    constant-range and optimal-range strategies every N of the sweep is
-    priced from the same term vectors, so elapsed_s is the time of the whole
-    sweep (the whole grid search) split evenly over the N values."""
+    against the reference, and the wall time spent pricing it.  The N values
+    that share a candidate range are priced by one call, so elapsed_s is
+    this N's even share of every call that priced it."""
     N: int
     L: float
     error: float
@@ -74,7 +71,6 @@ class ExperimentConfig:
     experiment: str
     out: str | None = None
     n_max_exp: int = 16
-    options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
@@ -111,8 +107,8 @@ def _median_times_ms(fns, reps: int = 32, warmup: int = 4) -> list[float]:
     return [statistics.median(s) for s in samples]
 
 
-def fit_loglog_slope(ns, values, noise_floor: float = 1e-12,
-                     n_min: int = 64) -> float:
+def fit_loglog_slope(ns, values, noise_floor: float = _FIT_NOISE_FLOOR,
+                     n_min: int = _FIT_N_MIN) -> float:
     """Least-squares slope of log2(values) against log2(ns), restricted to the
     asymptotic window: points below the noise floor or with N < n_min are
     dropped (pre-asymptotic and roundoff-dominated points bias the fit)."""
@@ -172,8 +168,10 @@ def write_csv(path: str | None, header: list[str], rows: list[tuple],
               metadata: dict, nondet_columns: tuple[str, ...] = ()) -> str:
     """Render (and optionally write) a CSV with '#'-prefixed metadata lines.
 
-    Identical inputs yield byte-identical text; wall-clock columns must be
-    listed in nondet_columns so downstream diffing can ignore them.
+    Identical inputs yield byte-identical text; every wall-clock field must
+    be listed in nondet_columns so downstream diffing can ignore it.  A
+    listed name is a header column, a metadata key, or the first cell of a
+    row (the quantity of a key/value CSV).
     """
     lines = [f"# coskit-version: {__version__}"]
     for key in sorted(metadata):
@@ -194,35 +192,61 @@ def write_csv(path: str | None, header: list[str], rows: list[tuple],
 # experiments
 # ---------------------------------------------------------------------------
 
+def _study_inputs(key: str):
+    """(cf, payoff, ctx, reference) of a study's option: "table1" (the
+    lognormal put), "bs" (the call of the same setup), "vg" and "fmls"
+    (their calls) and "cauchy" (the digital)."""
+    if key == "cauchy":
+        ctx = MarketContext(1.0, 0.0, 1.0)
+        cf = centralized_cf(Cauchy(), ctx)
+        d = CAUCHY_DIGITAL_SETUP["threshold"]
+        return cf, DigitalBelow(d), ctx, cauchy_cdf(d)
+    if key in ("table1", "bs"):
+        s = TABLE1_SETUP
+        sigma, K = s["sigma"], s["K"]
+        ctx = MarketContext(s["S0"], s["r"], s["T"])
+        cf = centralized_cf(BS(sigma), ctx)
+        if key == "table1":
+            return cf, Put(K), ctx, black_scholes_put(ctx, sigma, K)
+        return cf, Call(K), ctx, black_scholes_call(ctx, sigma, K)
+    if key == "vg":
+        s = VG_SETUP
+        model = VG(s["sigma"], s["nu"], s["theta"])
+    elif key == "fmls":
+        s = FMLS_SETUP
+        model = FMLS(s["alpha"], s["sigma"])
+    else:
+        raise ValueError(f"no study inputs for {key!r}")
+    ctx = MarketContext(s["S0"], s["r"], s["T"])
+    cf = centralized_cf(model, ctx)
+    return cf, Call(s["K"]), ctx, carr_madan_call(cf, ctx, s["K"])
+
+
 def run_table1(out: str | None = None, time_reps: int = 32) -> dict:
     """Series-length table for the lognormal at-the-money put: the certified N
     per derivative order, pricing and numeric-bound timings, and the
     empirically minimal N."""
     s = TABLE1_SETUP
-    model = BS(s["sigma"])
-    ctx = MarketContext(S0=s["S0"], r=s["r"], T=s["T"])
-    cf = centralized_cf(model, ctx)
-    reference = black_scholes_put(ctx, s["sigma"], s["K"])
+    cf, payoff, ctx, reference = _study_inputs("table1")
 
     rows = []
     params_by_order = {}
     for j in s["orders"]:
-        req = TuningRequest(model, ctx, payoff_bound=s["K"], tol=s["tol"],
+        req = TuningRequest(cf.model, ctx, payoff_bound=s["K"], tol=s["tol"],
                             moment_order=s["moment_order"], series_order=j)
         params = tune(req)
         params_by_order[j] = params
         cpu_cos = median_time_ms(
-            lambda p=params: cos_price(cf, Put(s["K"]), ctx, p),
-            reps=time_reps)
+            lambda p=params: cos_price(cf, payoff, ctx, p), reps=time_reps)
         cpu_hj = median_time_ms(lambda jj=j: hj_numeric(cf, jj + 1),
                                 reps=max(4, time_reps // 4))
         rows.append((j, params.N, cpu_cos, cpu_hj))
 
     any_params = params_by_order[s["orders"][0]]
-    n_min = find_nmin(cf, Put(s["K"]), ctx, any_params.L, any_params.M,
+    n_min = find_nmin(cf, payoff, ctx, any_params.L, any_params.M,
                       reference, s["tol"])
     cpu_nmin = median_time_ms(
-        lambda: cos_price(cf, Put(s["K"]), ctx,
+        lambda: cos_price(cf, payoff, ctx,
                           CosParameters(any_params.M, any_params.L, n_min)),
         reps=time_reps)
 
@@ -232,7 +256,8 @@ def run_table1(out: str | None = None, time_reps: int = 32) -> dict:
             "L": any_params.L, "n-min": n_min,
             "cpu-cos-nmin-ms": round(cpu_nmin, 6)}
     text = write_csv(out, ["j", "N", "cpu_cos_ms", "cpu_hj_ms"], rows, meta,
-                     nondet_columns=("cpu_cos_ms", "cpu_hj_ms"))
+                     nondet_columns=("cpu_cos_ms", "cpu_hj_ms",
+                                     "cpu-cos-nmin-ms"))
     return {"rows": rows, "n_min": n_min, "params": params_by_order,
             "reference": reference, "cpu_nmin_ms": cpu_nmin, "csv": text}
 
@@ -241,22 +266,17 @@ def run_vg_counterexample(out: str | None = None) -> dict:
     """Variance-gamma short-maturity study: the selection rule is honest but
     useless here (astronomical N), while a tiny N already prices well."""
     s = VG_SETUP
-    model = VG(s["sigma"], s["nu"], s["theta"])
-    ctx = MarketContext(S0=s["S0"], r=s["r"], T=s["T"])
-    cf = centralized_cf(model, ctx)
-
-    reference = carr_madan_call(cf, ctx, s["K"])
+    cf, payoff, ctx, reference = _study_inputs("vg")
     h1_sup = hj_density_sup(cf, 1)
     h1_integral = hj_numeric(cf, 1)
 
     # the moment rule and the square-root rule exactly as tune applies them
-    req = TuningRequest(model, ctx, payoff_bound=s["K"], tol=s["tol"],
+    req = TuningRequest(cf.model, ctx, payoff_bound=s["K"], tol=s["tol"],
                         moment_order=s["moment_order"])
-    _, L, xi, _ = _ranges(req, tail_profile(model, ctx))
+    _, L, xi, _ = _ranges(req, tail_profile(cf.model, ctx))
     n_rule = _series_length(0, h1_sup, L, xi, s["tol"])
 
-    res_small = cos_price(cf, Call(s["K"]), ctx,
-                          CosParameters(M=L, L=L, N=50))
+    res_small = cos_price(cf, payoff, ctx, CosParameters(M=L, L=L, N=50))
     rows = [
         ("reference_price", reference),
         ("h1_density_sup", h1_sup.value),
@@ -282,21 +302,17 @@ def run_fmls_study(out: str | None = None, time_reps: int = 32) -> dict:
     damped-transform reference, the empirically minimal N, and the timing
     ratio between the certified and minimal series lengths."""
     s = FMLS_SETUP
-    model = FMLS(s["alpha"], s["sigma"])
-    ctx = MarketContext(S0=s["S0"], r=s["r"], T=s["T"])
-    cf = centralized_cf(model, ctx)
-
-    reference = carr_madan_call(cf, ctx, s["K"])
-    req = TuningRequest(model, ctx, payoff_bound=s["K"], tol=s["tol"],
+    cf, payoff, ctx, reference = _study_inputs("fmls")
+    req = TuningRequest(cf.model, ctx, payoff_bound=s["K"], tol=s["tol"],
                         series_order=s["series_order"])
     params = tune(req)
-    res = cos_price(cf, Call(s["K"]), ctx, params)
-    n_min = find_nmin(cf, Call(s["K"]), ctx, params.L, params.M, reference,
+    res = cos_price(cf, payoff, ctx, params)
+    n_min = find_nmin(cf, payoff, ctx, params.L, params.M, reference,
                       s["tol"])
 
     cpu_tuned, cpu_nmin = _median_times_ms(
-        [lambda: cos_price(cf, Call(s["K"]), ctx, params),
-         lambda: cos_price(cf, Call(s["K"]), ctx,
+        [lambda: cos_price(cf, payoff, ctx, params),
+         lambda: cos_price(cf, payoff, ctx,
                            CosParameters(params.M, params.L, n_min))],
         reps=time_reps)
     cm_default = carr_madan_call(cf, ctx, s["K"],
@@ -327,19 +343,25 @@ def run_fmls_study(out: str | None = None, time_reps: int = 32) -> dict:
 
 # --- convergence sweeps ----------------------------------------------------
 
-def _range_for(strategy: tuple, n: int) -> float:
-    kind = strategy[0]
-    if kind == "sqrt":
-        return float(strategy[1]) * math.sqrt(n)
-    if kind == "linear":
-        return float(strategy[1]) * n
-    raise ValueError(f"unknown range strategy {strategy!r}")
+def _candidate_ranges(strategy: tuple, n: int) -> np.ndarray:
+    """The half-ranges a strategy tries at series length n."""
+    kind, arg = strategy
+    if kind in ("constant", "optimal"):
+        grid = np.atleast_1d(np.asarray(arg, dtype=float))
+    elif kind == "sqrt":
+        grid = np.array([float(arg) * math.sqrt(n)])
+    elif kind == "linear":
+        grid = np.array([float(arg) * n])
+    else:
+        raise ValueError(f"unknown range strategy {strategy!r}")
+    if not np.all(grid > 0):
+        raise ValueError(f"half-ranges must be positive, got {strategy!r}")
+    return grid
 
 
 def run_convergence(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
                     reference: float, strategy: tuple,
-                    n_exponents=range(4, 17), noise_floor: float = 1e-12,
-                    fit_n_min: int = 64) -> dict:
+                    n_exponents=range(4, 17)) -> dict:
     """Error of the COS price against a reference for N = 2^e over the given
     exponents, with the half-range set by the strategy:
     ("constant", c) | ("sqrt", g): g*sqrt(N) | ("linear", g): g*N |
@@ -351,66 +373,39 @@ def run_convergence(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
     if not math.isfinite(reference):
         raise ReferenceUnavailable("reference price is not finite")
     ns = [2 ** e for e in n_exponents]
-    records = []
-    if strategy[0] in ("constant", "optimal") and ns:
-        # c_k and v_k do not depend on N, so one cos_prices call per L prices
-        # every N; the per-N arg-min (first minimum on ties) reads the N x L
-        # error table, and a constant range is the one-point grid.  An empty
-        # sweep takes the loop below and records nothing.
-        grid = np.atleast_1d(np.asarray(strategy[1], dtype=float))
+    candidates = [_candidate_ranges(strategy, n) for n in ns]
+    # c_k and v_k do not depend on N, so one cos_prices call prices every N
+    # that tries a range, from prefix sums of one term vector
+    users = {}
+    for i, grid in enumerate(candidates):
+        for L in grid.tolist():
+            users.setdefault(L, []).append(i)
+    errors, spent = {}, [0.0] * len(ns)
+    for L, idx in users.items():
         t0 = time.perf_counter()
-        table = np.empty((len(ns), grid.size))
-        for i, L in enumerate(grid):
-            table[:, i] = np.abs(
-                np.subtract(cos_prices(cf, payoff, ctx, L, L, ns), reference))
-        elapsed = (time.perf_counter() - t0) / len(ns)
-        for n, row in zip(ns, table):
-            i_best = int(np.argmin(row))
-            records.append(ConvergenceRecord(
-                N=n, L=float(grid[i_best]), error=float(row[i_best]),
-                elapsed_s=elapsed))
-    else:
-        for n in ns:
-            t0 = time.perf_counter()
-            L_used = _range_for(strategy, n)
-            res = cos_price(cf, payoff, ctx,
-                            CosParameters(M=L_used, L=L_used, N=n))
-            records.append(ConvergenceRecord(
-                N=n, L=L_used, error=abs(res.price - reference),
-                elapsed_s=time.perf_counter() - t0))
+        prices = cos_prices(cf, payoff, ctx, L, L, [ns[i] for i in idx])
+        share = (time.perf_counter() - t0) / len(idx)
+        for i, price in zip(idx, prices):
+            errors[i, L] = abs(price - reference)
+            spent[i] += share
+    records = []
+    for i, (n, grid) in enumerate(zip(ns, candidates)):
+        errs = [errors[i, L] for L in grid.tolist()]
+        best = int(np.argmin(errs))  # the first minimum in grid order
+        records.append(ConvergenceRecord(
+            N=n, L=float(grid[best]), error=float(errs[best]),
+            elapsed_s=spent[i]))
 
-    errs = [r.error for r in records]
     try:
-        slope = fit_loglog_slope(ns, errs, noise_floor, fit_n_min)
+        slope = fit_loglog_slope(ns, [r.error for r in records])
     except ValueError:
         slope = math.nan
     out = {"records": records, "slope": slope, "strategy": strategy}
     if strategy[0] == "optimal" and records:
         out["optimal_rows"] = [(r.N, r.L, r.error) for r in records]
         out["range_slope"] = fit_loglog_slope(
-            [r.N for r in records], [r.L for r in records],
-            noise_floor=0.0, n_min=fit_n_min)
+            [r.N for r in records], [r.L for r in records], noise_floor=0.0)
     return out
-
-
-def _study_inputs(model_key: str):
-    """(cf, payoff, ctx, reference) for the convergence studies."""
-    if model_key == "bs":
-        s = TABLE1_SETUP
-        ctx = MarketContext(s["S0"], s["r"], s["T"])
-        cf = centralized_cf(BS(s["sigma"]), ctx)
-        return cf, Call(s["K"]), ctx, black_scholes_call(ctx, s["sigma"], s["K"])
-    if model_key == "cauchy":
-        ctx = MarketContext(1.0, 0.0, 1.0)
-        cf = centralized_cf(Cauchy(), ctx)
-        d = CAUCHY_DIGITAL_SETUP["threshold"]
-        return cf, DigitalBelow(d), ctx, cauchy_cdf(d)
-    if model_key == "fmls":
-        s = FMLS_SETUP
-        ctx = MarketContext(s["S0"], s["r"], s["T"])
-        cf = centralized_cf(FMLS(s["alpha"], s["sigma"]), ctx)
-        return cf, Call(s["K"]), ctx, carr_madan_call(cf, ctx, s["K"])
-    raise ValueError(f"no convergence study for {model_key!r}")
 
 
 _CONVERGENCE_STRATEGIES = {
@@ -436,24 +431,11 @@ def run_convergence_experiment(model_key: str, out: str | None = None,
                          rec.elapsed_s * 1e3))
     meta = {"experiment": f"convergence_{model_key}",
             "reference": reference, "n-max-exp": n_max_exp,
-            "fit-window": "error > 1e-12 and N >= 64"}
+            "fit-window": (f"error > {_FIT_NOISE_FLOOR:g} "
+                           f"and N >= {_FIT_N_MIN}")}
     text = write_csv(out, ["strategy", "N", "L", "abs_error", "cpu_ms"],
                      rows, meta, nondet_columns=("cpu_ms",))
     return {"results": results, "reference": reference, "csv": text}
-
-
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Dispatch one benchmark study from its config."""
-    if cfg.experiment == "table1":
-        return run_table1(cfg.out, **cfg.options)
-    if cfg.experiment == "vg_counterexample":
-        return run_vg_counterexample(cfg.out)
-    if cfg.experiment == "fmls_study":
-        return run_fmls_study(cfg.out, **cfg.options)
-    if cfg.experiment == "l_optimal":
-        return run_l_optimal(cfg.out, min(cfg.n_max_exp, 14))
-    key = cfg.experiment.removeprefix("convergence_")
-    return run_convergence_experiment(key, cfg.out, cfg.n_max_exp)
 
 
 def run_l_optimal(out: str | None = None, n_max_exp: int = 14) -> dict:
@@ -471,9 +453,30 @@ def run_l_optimal(out: str | None = None, n_max_exp: int = 14) -> dict:
             rows.append((key, n, L_opt, err))
     meta = {"experiment": "l_optimal", "n-max-exp": n_max_exp,
             "grid": "exp(0.07*i), i=0..200",
-            "fit-window": "N >= 64"}
+            "fit-window": f"N >= {_FIT_N_MIN}"}
     text = write_csv(out, ["model", "N", "L_optimal", "abs_error"], rows, meta)
     return {"results": results, "csv": text}
+
+
+# every study by its id; the runners are looked up by name at call time
+_STUDIES = {
+    "table1": lambda cfg: run_table1(cfg.out),
+    "vg_counterexample": lambda cfg: run_vg_counterexample(cfg.out),
+    "fmls_study": lambda cfg: run_fmls_study(cfg.out),
+    "convergence_bs": lambda cfg: run_convergence_experiment(
+        "bs", cfg.out, cfg.n_max_exp),
+    "convergence_cauchy": lambda cfg: run_convergence_experiment(
+        "cauchy", cfg.out, cfg.n_max_exp),
+    "convergence_fmls": lambda cfg: run_convergence_experiment(
+        "fmls", cfg.out, cfg.n_max_exp),
+    "l_optimal": lambda cfg: run_l_optimal(cfg.out, min(cfg.n_max_exp, 14)),
+}
+EXPERIMENT_IDS = tuple(_STUDIES)
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Run one benchmark study from its config."""
+    return _STUDIES[cfg.experiment](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +485,8 @@ def run_l_optimal(out: str | None = None, n_max_exp: int = 14) -> dict:
 
 _MODEL_KEYS = ("model", "sigma", "alpha", "beta", "delta", "nu", "theta",
                "scale", "S0", "r", "T")
+# market inputs that neither the config file nor a flag sets
+_MARKET_DEFAULTS = {"S0": 100.0, "r": 0.0, "T": 1.0}
 
 
 def _read_config(path: str) -> dict:
@@ -524,44 +529,39 @@ def _build_model(opts: dict) -> ModelSpec:
     raise ModelParameterError(f"unknown model {name!r}")
 
 
-def _add_model_args(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="key = value file with model parameters")
+def _add_request_args(p: argparse.ArgumentParser):
+    """The model, market and tuning flags that `price` and `tune` share."""
+    p.add_argument("--config", help="key = value file of model and market "
+                   "parameters, below the flags; S0, r, T default to 100, 0, 1")
     p.add_argument("--model", choices=["bs", "nig", "vg", "fmls", "stable",
                                        "cauchy"])
-    for key in ("sigma", "alpha", "beta", "delta", "nu", "theta", "scale"):
+    for key in _MODEL_KEYS[1:]:
         p.add_argument(f"--{key}", type=float)
-    p.add_argument("--S0", type=float, default=100.0)
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--T", type=float, default=1.0)
-
-
-def _collect_model_opts(args) -> dict:
-    opts = _read_config(args.config) if args.config else {}
-    for key in _MODEL_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
-    return opts
+    p.add_argument("--K", type=float, default=100.0,
+                   help="strike; the payoff bound of the tuning request")
+    p.add_argument("--eps", type=float, required=True,
+                   help="price tolerance")
+    p.add_argument("--n", type=int, default=8, help="moment order")
+    p.add_argument("--j", type=int, default=40, help="series derivative order")
+    p.add_argument("--minimize-j", action="store_true")
 
 
 def _payoff_and_bound(args) -> tuple[Payoff, float]:
-    kind = args.payoff
-    if kind == "put":
-        return Put(args.K), args.K
-    if kind == "call":
-        return Call(args.K), args.K
-    if kind == "digital":
+    if args.payoff == "digital":
         return DigitalBelow(args.d), 1.0
-    raise ModelParameterError(f"unknown payoff {kind!r}")
+    return (Put if args.payoff == "put" else Call)(args.K), args.K
 
 
 def _request(args, payoff_bound: float) -> TuningRequest:
-    """Tuning request from the model, market and tuning flags that `price`
-    and `tune` share."""
-    opts = _collect_model_opts(args)
+    """Tuning request from the shared flags: the market defaults, overridden
+    by the config file, overridden by the flags."""
+    opts = dict(_MARKET_DEFAULTS)
+    if args.config:
+        opts.update(_read_config(args.config))
+    opts.update((key, getattr(args, key)) for key in _MODEL_KEYS
+                if getattr(args, key) is not None)
     model = _build_model(opts)
-    ctx = MarketContext(S0=opts.get("S0", args.S0), r=opts.get("r", args.r),
-                        T=opts.get("T", args.T))
+    ctx = MarketContext(S0=opts["S0"], r=opts["r"], T=opts["T"])
     return TuningRequest(model, ctx, payoff_bound=payoff_bound, tol=args.eps,
                          moment_order=args.n, series_order=args.j,
                          minimize_order=args.minimize_j)
@@ -604,27 +604,15 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pp = sub.add_parser("price", help="tune parameters and price an option")
-    _add_model_args(pp)
-    pp.add_argument("--K", type=float, default=100.0, help="strike")
+    _add_request_args(pp)
     pp.add_argument("--payoff", choices=["put", "call", "digital"],
                     default="put")
     pp.add_argument("--d", type=float, default=0.0,
                     help="digital threshold on the centralized log-return")
-    pp.add_argument("--eps", type=float, required=True,
-                    help="price tolerance")
-    pp.add_argument("--n", type=int, default=8, help="moment order")
-    pp.add_argument("--j", type=int, default=40, help="series derivative order")
-    pp.add_argument("--minimize-j", action="store_true")
     pp.set_defaults(func=_cmd_price)
 
     pt = sub.add_parser("tune", help="report certified (M, L, N)")
-    _add_model_args(pt)
-    pt.add_argument("--K", type=float, default=100.0,
-                    help="payoff bound (strike for puts)")
-    pt.add_argument("--eps", type=float, required=True)
-    pt.add_argument("--n", type=int, default=8)
-    pt.add_argument("--j", type=int, default=40)
-    pt.add_argument("--minimize-j", action="store_true")
+    _add_request_args(pt)
     pt.set_defaults(func=_cmd_tune)
 
     pe = sub.add_parser("experiment", help="run a benchmark study")
@@ -636,6 +624,15 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+# exit code per failure, first match wins (ModelParameterError is both a
+# ValueError and a CosKitError); anything else propagates
+_EXIT_CODES = (
+    (ValueError, 2),
+    ((ToleranceTooLoose, NoSmoothness, MomentDoesNotExist), 4),
+    (CosKitError, 3),
+)
+
+
 def cli_main(argv=None) -> int:
     """Entry point: 0 ok, 2 usage error, 3 numeric failure,
     4 tolerance infeasible."""
@@ -645,16 +642,13 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ModelParameterError, ValueError) as exc:
+    except Exception as exc:
+        code = next((c for kinds, c in _EXIT_CODES if isinstance(exc, kinds)),
+                    None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ToleranceTooLoose, NoSmoothness, MomentDoesNotExist) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (QuadratureFailure, IntegralDiverged, NotReachedWithinCap,
-            ReferenceUnavailable, DampingInadmissible, CosKitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return code
 
 
 def main() -> None:  # console-script entry point

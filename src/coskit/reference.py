@@ -29,9 +29,9 @@ from .models import (BS, FMLS, NIG, VG, CentralizedCF, MarketContext,
 __all__ = [
     "CarrMadanConfig", "carr_madan_call", "black_scholes_put",
     "black_scholes_call", "cauchy_cdf", "gauss_tail_cos_integrals",
-    "density_by_inversion", "derivative_by_inversion", "density_on_grid",
-    "hj_density_sup", "density_cos_coefficients", "tail_cos_integrals",
-    "BLPartialSum", "bl_bruteforce",
+    "derivative_by_inversion", "density_on_grid", "hj_density_sup",
+    "density_cos_coefficients", "tail_cos_integrals", "BLPartialSum",
+    "bl_bruteforce",
 ]
 
 
@@ -142,17 +142,6 @@ def _inversion_point(phi, x: float, j: int = 0,
         total += val
         err += e
     return total / math.pi, err / math.pi
-
-
-def density_by_inversion(cf: CentralizedCF, xs, epsabs: float = 1e-12):
-    """Density of the centralized log-return on a grid, by adaptive Fourier
-    inversion of its characteristic function (oracle-grade accuracy)."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    try:
-        return np.array([_inversion_point(cf.phi, float(x), 0, epsabs)[0]
-                         for x in xs])
-    except Exception as exc:  # pragma: no cover - quadpack failure path
-        raise QuadratureFailure(f"density inversion failed: {exc}") from exc
 
 
 def derivative_by_inversion(cf: CentralizedCF, j: int, xs,

@@ -20,6 +20,9 @@ from .models import (VG, HeavyTail, MarketContext, ModelSpec, SemiHeavyTail,
 
 __all__ = ["TuningRequest", "tune", "minimize_series_order"]
 
+# the largest derivative order an order scan tries
+_MAX_ORDER = 120
+
 
 @dataclass(frozen=True)
 class TuningRequest:
@@ -162,12 +165,11 @@ def _check_semiheavy_range(profile: SemiHeavyTail, L: float, M: float,
                 f"condition (needs >= {needed:.4g})")
 
 
-def _best_order(req: TuningRequest, L: float, xi: float,
-                max_order: int) -> tuple[int, int]:
-    """(order, N) minimizing the series length over orders 1..max_order
+def _best_order(req: TuningRequest, L: float, xi: float) -> tuple[int, int]:
+    """(order, N) minimizing the series length over orders 1.._MAX_ORDER
     (clamped to the model's smoothness) for the given ranges; ties break
     toward the smaller order.  Needs closed-form derivative bounds."""
-    cap = _effective_order(req.model, req.ctx.T, max_order)
+    cap = _effective_order(req.model, req.ctx.T, _MAX_ORDER)
     if cap < 1:
         raise NoSmoothness("no derivative order >= 1 is admissible")
     n_star, j_star = min(
@@ -194,7 +196,7 @@ def tune(req: TuningRequest, h_next: DerivativeBound | None = None) -> CosParame
 
     j = _effective_order(req.model, req.ctx.T, req.series_order)
     if req.minimize_order and j >= 1:
-        j, _ = _best_order(req, L, xi, max_order=120)
+        j, _ = _best_order(req, L, xi)
 
     bound = _h_next(req.model, req.ctx, j, h_next)
     N = _ceil_n(_series_length(j, bound, L, xi, req.tol))
@@ -211,11 +213,11 @@ def tune(req: TuningRequest, h_next: DerivativeBound | None = None) -> CosParame
                     "N": f"{rule}, H_{j + 1} from {bound.source.value}"})
 
 
-def minimize_series_order(req: TuningRequest, max_order: int = 120) -> tuple[int, int]:
-    """Scan derivative orders 1..max_order and return (order, N) minimizing
+def minimize_series_order(req: TuningRequest) -> tuple[int, int]:
+    """Scan derivative orders 1.._MAX_ORDER and return (order, N) minimizing
     the series-length bound; ties break toward the smaller order.
 
     Needs closed-form derivative bounds for a cheap sweep.
     """
     _, L, xi, _ = _ranges(req, tail_profile(req.model, req.ctx))
-    return _best_order(req, L, xi, max_order)
+    return _best_order(req, L, xi)

@@ -100,9 +100,10 @@ def test_numeric_equals_stable_closed_form():
 
 def test_numeric_bound_dominates_density_sup():
     cf = centralized_cf(NIG(1.2, 0.8), CTX)
-    from coskit.reference import density_by_inversion
+    from coskit.reference import derivative_by_inversion
     xs = np.linspace(-1.5, 1.5, 31)
-    assert hj_numeric(cf, 0).value >= float(np.max(density_by_inversion(cf, xs)))
+    assert hj_numeric(cf, 0).value >= float(
+        np.max(derivative_by_inversion(cf, 0, xs)))
 
 
 def test_vg_first_derivative_routes():

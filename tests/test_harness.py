@@ -146,25 +146,40 @@ def test_convergence_studies_match_recorded_sweeps():
 # ---------------------------------------------------------------------------
 
 def _strip_nondet(text: str) -> str:
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    header = lines[0].split(",")
-    meta = [ln for ln in text.splitlines() if ln.startswith("# nondeterministic-columns:")]
-    drop = set()
-    if meta:
-        names = meta[0].split(":", 1)[1].strip().split(",")
-        drop = {header.index(n) for n in names}
-    keep = [i for i in range(len(header)) if i not in drop]
-    out = []
-    for ln in lines:
-        cells = ln.split(",")
-        out.append(",".join(cells[i] for i in keep))
+    """The CSV without its nondeterministic fields and without their list.
+    A name listed under `# nondeterministic-columns:` is a header column, a
+    metadata key or the first cell of a row (the quantity of a key/value
+    CSV), and every listed name must be one of these."""
+    tag = "# nondeterministic-columns:"
+    lines = text.splitlines()
+    names = {name for ln in lines if ln.startswith(tag)
+             for name in ln[len(tag):].strip().split(",")}
+    meta = {ln[2:].split(":", 1)[0]: ln for ln in lines
+            if ln.startswith("#") and not ln.startswith(tag)}
+    header, *rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    assert names <= set(meta) | set(header) | {row[0] for row in rows}, names
+    keep = [i for i in range(len(header)) if header[i] not in names]
+    out = [ln for key, ln in meta.items() if key not in names]
+    out.append(",".join(header[i] for i in keep))
+    out += [",".join(row[i] for i in keep) for row in rows
+            if row[0] not in names]
     return "\n".join(out)
 
 
-def test_csv_deterministic_after_dropping_timing_columns():
-    a = run_table1(time_reps=4)["csv"]
-    b = run_table1(time_reps=4)["csv"]
-    assert _strip_nondet(a) == _strip_nondet(b)
+def test_study_csvs_reproduce_outside_listed_fields():
+    # every wall-clock field is listed, so two runs of a study agree byte for
+    # byte without the listed fields; table1, vg_counterexample and
+    # fmls_study equal the CSVs recorded before the study inputs were shared
+    # (table1's then-unlisted cpu-cos-nmin-ms line removed)
+    with open(Path(__file__).parent / "data" / "study_csv_golden.json") as fh:
+        golden = json.load(fh)
+    for exp_id in EXPERIMENT_IDS:
+        a, b = (_strip_nondet(run_experiment(ExperimentConfig(
+            exp_id, n_max_exp=8))["csv"]) for _ in range(2))
+        assert a == b, exp_id
+        if exp_id in golden:
+            assert a.splitlines() == golden[exp_id], exp_id
+    assert set(golden) == {"table1", "vg_counterexample", "fmls_study"}
 
 
 def test_csv_structure_and_float_format():
@@ -306,6 +321,26 @@ def test_cli_config_file(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("volatility = 0.2\n")
     assert cli_main(["tune", "--config", os.fspath(bad), "--eps", "1e-8"]) == 2
+
+
+def test_cli_config_file_sets_market_inputs(tmp_path, capsys):
+    # S0, r and T from the file are used; a flag still overrides the file
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("model = bs\nsigma = 0.2\nS0 = 90\nr = 0.03\nT = 4\n")
+
+    def stdout(*argv):
+        assert cli_main(list(argv) + ["--K", "100", "--eps", "1e-8"]) == 0
+        return capsys.readouterr().out
+
+    bs = ("--model", "bs", "--sigma", "0.2")
+    from_file = stdout("tune", "--config", os.fspath(cfg))
+    assert from_file == stdout("tune", *bs, "--S0", "90", "--r", "0.03",
+                               "--T", "4")
+    assert from_file.startswith("M = 13.87833617  L = 13.87833617  N = 177\n")
+    assert (stdout("price", "--config", os.fspath(cfg))
+            == stdout("price", *bs, "--S0", "90", "--r", "0.03", "--T", "4"))
+    assert (stdout("tune", "--config", os.fspath(cfg), "--T", "1")
+            == stdout("tune", *bs, "--S0", "90", "--r", "0.03", "--T", "1"))
 
 
 def test_cli_price_digital(capsys):

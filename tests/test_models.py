@@ -11,7 +11,7 @@ from coskit.models import (BS, FMLS, NIG, VG, Cauchy, HeavyTail,
                            centralized_cf, closed_form_density,
                            fmls_as_stable, tail_profile)
 from coskit.models import Stable
-from coskit.reference import density_by_inversion
+from coskit.reference import derivative_by_inversion
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)
 CTX_VG = MarketContext(S0=100.0, r=0.0, T=0.25)
@@ -229,7 +229,7 @@ def test_closed_form_density_matches_inversion(model, ctx):
     cf = centralized_cf(model, ctx)
     dens = closed_form_density(model, ctx)
     xs = np.array([-0.8, -0.3, 0.05, 0.2, 0.6])
-    np.testing.assert_allclose(dens(xs), density_by_inversion(cf, xs),
+    np.testing.assert_allclose(dens(xs), derivative_by_inversion(cf, 0, xs),
                                rtol=1e-9, atol=1e-12)
 
 
@@ -276,7 +276,7 @@ def test_semiheavy_bound_dominates_density(model, ctx):
     noise = 1e-11
     bound = prof.amplitude * np.exp(-prof.rate * xs)
     for sign in (+1.0, -1.0):
-        f = density_by_inversion(cf, sign * xs)
+        f = derivative_by_inversion(cf, 0, sign * xs)
         assert np.all(f <= bound + noise), (model, sign)
 
 
@@ -296,10 +296,10 @@ def test_fmls_heavy_tail_is_sharp_asymptote():
     prof = tail_profile(FMLS(1.5597, 0.1486), CTX)
     cf = centralized_cf(FMLS(1.5597, 0.1486), CTX)
     xs = np.geomspace(prof.onset, 10.0 * prof.onset, 12)
-    left = density_by_inversion(cf, -xs)          # heavy left tail
+    left = derivative_by_inversion(cf, 0, -xs)   # heavy left tail
     ratio = left / (prof.amplitude * xs ** (-1.0 - prof.index))
     assert np.all(ratio <= 1.03)
     assert np.all(ratio >= 0.9)
     # the light right tail is dominated outright
-    right = density_by_inversion(cf, xs)
+    right = derivative_by_inversion(cf, 0, xs)
     assert np.all(right <= prof.amplitude * xs ** (-1.0 - prof.index) + 1e-11)

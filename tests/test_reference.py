@@ -17,8 +17,7 @@ from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext, Stable,
                            centralized_cf, closed_form_density)
 from coskit.reference import (CarrMadanConfig, black_scholes_call,
                               black_scholes_put, carr_madan_call, cauchy_cdf,
-                              density_by_inversion, density_on_grid,
-                              derivative_by_inversion)
+                              density_on_grid, derivative_by_inversion)
 from coskit.tuning import TuningRequest, tune
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)
@@ -132,7 +131,8 @@ def test_gaussian_density_inversion_accuracy():
     cf = centralized_cf(BS(0.2), CTX)
     xs = np.linspace(-1.0, 1.0, 21)
     dens = closed_form_density(BS(0.2), CTX)
-    assert np.max(np.abs(density_by_inversion(cf, xs) - dens(xs))) <= 1e-10
+    assert np.max(np.abs(derivative_by_inversion(cf, 0, xs)
+                         - dens(xs))) <= 1e-10
 
 
 def test_derivative_inversion_against_hermite_forms():
@@ -179,7 +179,7 @@ def test_grid_inversion_matches_adaptive():
     cf = centralized_cf(FMLS(1.5597, 0.1486), CTX)
     xs = np.linspace(-4.0, 1.5, 23)
     np.testing.assert_allclose(density_on_grid(cf, xs),
-                               density_by_inversion(cf, xs),
+                               derivative_by_inversion(cf, 0, xs),
                                rtol=0, atol=1e-7)
 
 

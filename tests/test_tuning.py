@@ -190,7 +190,8 @@ def test_full_scan_finds_global_minimum():
 
 
 def test_scan_finite_at_large_orders():
-    j_star, n_star = minimize_series_order(_bs_request(40), max_order=120)
+    # the scan runs up to tuning._MAX_ORDER = 120
+    j_star, n_star = minimize_series_order(_bs_request(40))
     assert math.isfinite(n_star) and n_star >= 1
 
 
