@@ -1,12 +1,10 @@
-"""Certified bounds: derivative bounds, the series-truncation bound, and
-range-truncation (B-term) bounds.
+"""Certified bounds: derivative bounds and the smoothness cap on their
+order, the series-truncation bound, and range-truncation (B-term) bounds.
 
-These feed the parameter-selection rules in `tuning`: closed-form and
-numeric uniform bounds on density derivatives, the integration-by-parts
-bound on the cosine-series tail, and closed-form upper bounds for the
-coefficient-substitution term B(L).  The oracles that check them (the
-scanned density-derivative sup, the tail integrals and the brute-force
-B(L) partial sum) live in `reference`.
+This is the one home of every bound formula: `tuning` solves for N and L
+the same functions that the acceptance suite evaluates.  The oracles that
+check them (the scanned density-derivative sup, the tail integrals and the
+brute-force B(L) partial sum) live in `reference`.
 """
 
 import enum
@@ -16,13 +14,15 @@ from typing import Sequence
 
 from scipy.special import gammaln
 
-from .errors import IntegralDiverged, NoClosedForm, QuadratureFailure
+from .errors import IntegralDiverged, NoClosedForm, NoSmoothness, QuadratureFailure
 from .models import (BS, FMLS, NIG, VG, Cauchy, CentralizedCF, MarketContext,
                      ModelSpec, Stable, fmls_as_stable)
 
 __all__ = [
-    "HjSource", "DerivativeBound", "hj_closed_form", "hj_numeric",
-    "series_truncation_bound", "bl_bound_semiheavy", "bl_bound_heavy",
+    "HjSource", "DerivativeBound", "hj_closed_form", "series_order_cap",
+    "hj_numeric", "series_log_coefficient", "sqrt_rule_coefficient",
+    "series_truncation_bound", "bl_semiheavy_factor", "bl_bound_semiheavy",
+    "bl_bound_heavy",
 ]
 
 
@@ -48,62 +48,62 @@ class DerivativeBound:
     source: HjSource
 
 
-def _stable_log_bound(order: int, alpha: float, scale: float) -> float:
+def _stable_log_bound(j: int, alpha: float, scale: float) -> float:
     """log of Gamma((j+1)/alpha) / (pi * alpha * scale^(j+1))."""
-    j = order
     return (gammaln((j + 1) / alpha) - math.log(math.pi * alpha)
             - (j + 1) * math.log(scale))
-
-
-def _gauss_log_bound(order: int, sdev: float) -> float:
-    """Gaussian specialization of the stable bound (exact same value)."""
-    j = order
-    if j % 2 == 0:
-        return (gammaln(j + 1)
-                - ((j + 1) * math.log(sdev) + 0.5 * math.log(2.0 * math.pi)
-                   + (j / 2) * math.log(2.0) + gammaln(j / 2 + 1)))
-    return (((j - 1) / 2) * math.log(2.0) + gammaln((j - 1) / 2 + 1)
-            - ((j + 1) * math.log(sdev) + math.log(math.pi)))
 
 
 def hj_closed_form(model: ModelSpec, ctx: MarketContext, order: int) -> DerivativeBound:
     """Closed-form uniform bound on the order-th derivative of the density of
     the centralized log-return.
 
-    Stable family (incl. FMLS and Cauchy): Gamma((j+1)/alpha)/(pi alpha c^(j+1)).
-    Gaussian: the even/odd factorial form (equal to the stable bound at
-    alpha=2).  Symmetric NIG: exp(T delta alpha) j! / (pi (T delta)^(j+1)).
-    VG has no closed form.
+    Stable family: Gamma((j+1)/alpha)/(pi alpha c^(j+1)), the integral
+    (1/pi) Int_0^inf u^j |phi(u)| du in closed form.  Its members are BS
+    (alpha = 2, c = sigma sqrt(T/2)), FMLS (beta = -1, through
+    `fmls_as_stable`), Stable itself and Cauchy (alpha = c = 1).  Symmetric
+    NIG: exp(T delta alpha) j! / (pi (T delta)^(j+1)).  VG has no closed form.
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
     T = ctx.T
+    if isinstance(model, FMLS):
+        model = fmls_as_stable(model, T)
 
-    if isinstance(model, BS):
-        lv = _gauss_log_bound(order, model.sigma * math.sqrt(T))
-        src = HjSource.CLOSED_FORM_GAUSS
-    elif isinstance(model, NIG):
+    src = HjSource.CLOSED_FORM_STABLE
+    if isinstance(model, NIG):
         dT = model.delta * T
         lv = (dT * model.alpha + gammaln(order + 1)
               - math.log(math.pi) - (order + 1) * math.log(dT))
         src = HjSource.CLOSED_FORM_NIG
-    elif isinstance(model, FMLS):
-        st = fmls_as_stable(model, T)
-        lv = _stable_log_bound(order, st.alpha, st.scale)
-        src = HjSource.CLOSED_FORM_STABLE
+    elif isinstance(model, BS):
+        lv = _stable_log_bound(order, 2.0, model.sigma * math.sqrt(T / 2.0))
+        src = HjSource.CLOSED_FORM_GAUSS
     elif isinstance(model, Stable):
         lv = _stable_log_bound(order, model.alpha, model.scale)
-        src = HjSource.CLOSED_FORM_STABLE
     elif isinstance(model, Cauchy):
         lv = _stable_log_bound(order, 1.0, 1.0)
-        src = HjSource.CLOSED_FORM_STABLE
-    elif isinstance(model, VG):
-        raise NoClosedForm("no closed-form derivative bound for VG")
     else:
-        raise NoClosedForm(f"no closed-form derivative bound for {model!r}")
+        raise NoClosedForm(
+            f"no closed-form derivative bound for {type(model).__name__}")
 
     value = math.exp(lv) if lv < 709.0 else math.inf
     return DerivativeBound(order=order, value=value, log_value=lv, source=src)
+
+
+def series_order_cap(model: ModelSpec, ctx: MarketContext, order: int) -> int:
+    """The series order clamped to the density's smoothness (0 selects the
+    square-root rule).  VG at horizon T has bounded derivatives up to order
+    J + 1 for J + 2 < 2T/nu, and raises NoSmoothness without even one; the
+    other models' densities are smooth."""
+    if not isinstance(model, VG):
+        return order
+    limit = 2.0 * ctx.T / model.nu - 2.0
+    if limit <= 0.0:
+        raise NoSmoothness(
+            f"VG density at T={ctx.T} (nu={model.nu}) lacks a bounded "
+            "derivative; no series rule applies")
+    return min(order, math.ceil(limit) - 1)
 
 
 # relative tolerance of hj_numeric's octave quadratures and of its stop rule
@@ -171,21 +171,33 @@ def hj_numeric(cf: CentralizedCF, order: int) -> DerivativeBound:
 # series-truncation bound
 # ---------------------------------------------------------------------------
 
+def series_log_coefficient(J: int, log_h: float, L: float) -> float:
+    """log C_J of the series bound's leading term C_J / N^J at order J >= 1,
+    C_J = 2^(J+2) H_(J+1) L^(J+1) / (J pi^(J+1)), from log H_(J+1)."""
+    return ((J + 2) * math.log(2.0) + log_h + (J + 1) * math.log(L)
+            - math.log(J) - (J + 1) * math.log(math.pi))
+
+
+def sqrt_rule_coefficient(h1: float, L: float) -> float:
+    """C_0 = 4 H_1 L / pi of the square-root rule's bound C_0 / sqrt(N)."""
+    return 4.0 * h1 * L / math.pi
+
+
 def series_truncation_bound(h_top: float, boundary_sums: Sequence[float],
                             L: float, N: int, J: int) -> float:
     """Integration-by-parts bound on the cosine-series tail ||f_L - S_N||_2.
 
     For J >= 1:
         sum_{j=1..J} 2^(j+1)/(j pi^(j+1)) (L/N)^j * boundary_sums[j-1]
-        + 2^(J+2) h_top L^(J+1) / (J pi^(J+1) N^J)
+        + C_J / N^J  (C_J from `series_log_coefficient`)
     where boundary_sums[j-1] >= |f^(j)(-L)| + |f^(j)(L)| and h_top >= H_{J+1}.
-    For J == 0: 4 h_top L / (pi sqrt(N)) with h_top >= H_1.
+    For J == 0: C_0 / sqrt(N) (`sqrt_rule_coefficient`) with h_top >= H_1.
     Monotone decreasing in N.
     """
     if L <= 0 or N < 1:
         raise ValueError("need L > 0 and N >= 1")
     if J == 0:
-        return 4.0 * h_top * L / (math.pi * math.sqrt(N))
+        return sqrt_rule_coefficient(h_top, L) / math.sqrt(N)
     if len(boundary_sums) < J:
         raise ValueError(f"need {J} boundary derivative sums, got {len(boundary_sums)}")
     total = 0.0
@@ -193,8 +205,8 @@ def series_truncation_bound(h_top: float, boundary_sums: Sequence[float],
     for j in range(1, J + 1):
         total += (2.0 ** (j + 1) / (j * math.pi ** (j + 1))
                   * ratio ** j * boundary_sums[j - 1])
-    total += (2.0 ** (J + 2) * h_top / (J * math.pi ** (J + 1))
-              * L ** (J + 1) / N ** J)
+    total += math.exp(series_log_coefficient(J, math.log(h_top), L)
+                      - J * math.log(N))
     return total
 
 
@@ -202,16 +214,22 @@ def series_truncation_bound(h_top: float, boundary_sums: Sequence[float],
 # B(L) bounds  (coefficient-substitution term)
 # ---------------------------------------------------------------------------
 
+def bl_semiheavy_factor(amplitude: float, rate: float, x: float) -> float:
+    """(2 pi a / sqrt(6 r)) sqrt(1 + 1/(x r) + 1/(2 x^2 r^2)), the factor of
+    e^(-rL) in the semi-heavy bound on sqrt(B(L)) at x = L."""
+    a, r = amplitude, rate
+    return (2.0 * math.pi * a / math.sqrt(6.0 * r)
+            * math.sqrt(1.0 + 1.0 / (x * r) + 0.5 / (x * r) ** 2))
+
+
 def bl_bound_semiheavy(amplitude: float, rate: float, L: float,
                        M: float) -> float:
     """Closed-form upper bound on sqrt(B(L)) under exponential tail
-    domination: (2 pi a / sqrt(6 r)) e^(-rL) sqrt(1 + 1/(Lr) + 1/(2 L^2 r^2)).
-    Requires L >= M > 0."""
+    domination: `bl_semiheavy_factor` at L times e^(-rL).  Requires
+    L >= M > 0."""
     if not (L >= M > 0):
         raise ValueError("need L >= M > 0")
-    a, r = amplitude, rate
-    return (2.0 * math.pi * a / math.sqrt(6.0 * r) * math.exp(-r * L)
-            * math.sqrt(1.0 + 1.0 / (L * r) + 0.5 / (L * r) ** 2))
+    return bl_semiheavy_factor(amplitude, rate, L) * math.exp(-rate * L)
 
 
 def bl_bound_heavy(amplitude: float, index: float, L: float) -> float:

@@ -52,6 +52,8 @@ OPTIMAL_RANGE_GRID = np.exp(0.07 * np.arange(201))
 # the asymptotic window of the convergence-order fits
 _FIT_NOISE_FLOOR = 1e-12
 _FIT_N_MIN = 64
+# the least n_max_exp whose sweep N = 2^e has two points at N >= _FIT_N_MIN
+_MIN_N_MAX_EXP = math.ceil(math.log2(_FIT_N_MIN)) + 1
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.n_max_exp < 4:
-            # every sweep starts at N = 2^4
-            raise ValueError(f"need n_max_exp >= 4, got {self.n_max_exp}")
+        if self.n_max_exp < _MIN_N_MAX_EXP:
+            raise ValueError(
+                f"need n_max_exp >= {_MIN_N_MAX_EXP} for two sweep points "
+                f"at N >= {_FIT_N_MIN}, got {self.n_max_exp}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +399,22 @@ def run_convergence(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
             N=n, L=float(grid[best]), error=float(errs[best]),
             elapsed_s=spent[i]))
 
-    try:
-        slope = fit_loglog_slope(ns, [r.error for r in records])
-    except ValueError:
-        slope = math.nan
-    out = {"records": records, "slope": slope, "strategy": strategy}
+    out = {"records": records, "strategy": strategy,
+           "slope": _slope_or_nan(ns, [r.error for r in records])}
     if strategy[0] == "optimal" and records:
         out["optimal_rows"] = [(r.N, r.L, r.error) for r in records]
-        out["range_slope"] = fit_loglog_slope(
-            [r.N for r in records], [r.L for r in records], noise_floor=0.0)
+        out["range_slope"] = _slope_or_nan(ns, [r.L for r in records],
+                                           noise_floor=0.0)
     return out
+
+
+def _slope_or_nan(ns, values, **window) -> float:
+    """`fit_loglog_slope`, or NaN when the fit window holds fewer than two
+    points."""
+    try:
+        return fit_loglog_slope(ns, values, **window)
+    except ValueError:
+        return math.nan
 
 
 _CONVERGENCE_STRATEGIES = {
@@ -619,7 +628,8 @@ def _parser() -> argparse.ArgumentParser:
     pe.add_argument("--id", choices=EXPERIMENT_IDS, required=True)
     pe.add_argument("--out", help="CSV output path")
     pe.add_argument("--n-max-exp", type=int, default=16,
-                    help="largest series-length exponent for sweeps")
+                    help="largest series-length exponent for sweeps "
+                    f"(at least {_MIN_N_MAX_EXP})")
     pe.set_defaults(func=_cmd_experiment)
     return p
 
@@ -627,7 +637,7 @@ def _parser() -> argparse.ArgumentParser:
 # exit code per failure, first match wins (ModelParameterError is both a
 # ValueError and a CosKitError); anything else propagates
 _EXIT_CODES = (
-    (ValueError, 2),
+    ((ValueError, OSError), 2),
     ((ToleranceTooLoose, NoSmoothness, MomentDoesNotExist), 4),
     (CosKitError, 3),
 )

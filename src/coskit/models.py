@@ -374,13 +374,11 @@ def tail_profile(model: ModelSpec, ctx: MarketContext) -> TailProfile:
         return _semiheavy_from_grid(dens, rate, onset, x_hi, two_sided=(th != 0.0))
 
     if isinstance(model, FMLS):
-        st = fmls_as_stable(model, T)
-        amp = pareto_amplitude(st.alpha, st.beta, st.scale)
-        # left tail approaches its asymptote from below once |x| is a few
-        # scales out; grid-validated in the test suite
-        return HeavyTail(amplitude=amp, index=st.alpha, onset=max(1.0, 8.0 * st.scale))
+        model = fmls_as_stable(model, T)
 
     if isinstance(model, Stable):
+        # FMLS's left tail approaches its asymptote from below once |x| is a
+        # few scales out; grid-validated in the test suite
         amp = pareto_amplitude(model.alpha, model.beta, model.scale)
         return HeavyTail(amplitude=amp, index=model.alpha,
                          onset=max(1.0, 8.0 * model.scale))
@@ -400,15 +398,13 @@ _MAX_MOMENT_ORDER = 8
 
 
 def cumulants(model: ModelSpec, ctx: MarketContext) -> dict:
-    """Cumulants (orders 2..8) of the centralized log-return.
+    """Cumulants (orders 2..8) of the centralized NIG and VG log-returns.
 
-    BS, NIG and drift-free VG use exact closed forms; VG with drift falls back
-    to polynomial-fit differentiation of log(phi) near zero.
+    NIG and drift-free VG use exact closed forms; VG with drift falls back
+    to polynomial-fit differentiation of log(phi) near zero.  BS moments
+    come in closed form from `central_moment`.
     """
     T = ctx.T
-    if isinstance(model, BS):
-        k2 = model.sigma ** 2 * T
-        return {2: k2, 3: 0.0, 4: 0.0, 5: 0.0, 6: 0.0, 7: 0.0, 8: 0.0}
     if isinstance(model, NIG):
         a, d = model.alpha, model.delta
         return {2: d * T / a, 3: 0.0, 4: 3.0 * d * T / a ** 3, 5: 0.0,
@@ -427,7 +423,7 @@ def cumulants(model: ModelSpec, ctx: MarketContext) -> dict:
         d_min = (math.sqrt(th * th * nu * nu + 2.0 * s * s * nu) - abs(th) * nu) \
             / (s * s * nu)
         return log_cf_cumulants(log_phi, 0.5 * d_min)
-    raise MomentDoesNotExist(f"moments of order >= 2 do not exist for {model!r}")
+    raise MomentDoesNotExist(f"no cumulant table for {model!r}")
 
 
 def log_cf_cumulants(log_phi, radius: float, n_points: int = 64) -> dict:

@@ -5,17 +5,21 @@ ranges and a series length that provably keep the COS price within the
 tolerance.  One range rule is picked by the model's tail profile -- the
 moment rule for semi-heavy (exponential) tails, the Pareto rule for heavy
 tails -- and one series-length rule, the integration-by-parts bound on the
-series tail at a chosen derivative order, serves both.
+series tail at a chosen derivative order, serves both.  The bound formulas
+live in `bounds`; this module holds the rules that solve them: tolerance
+shares, ranges and the rounding of N.
 """
 
 import math
 from dataclasses import dataclass
 
-from .bounds import DerivativeBound, hj_closed_form, hj_numeric
+from .bounds import (DerivativeBound, bl_semiheavy_factor, hj_closed_form,
+                     hj_numeric, series_log_coefficient, series_order_cap,
+                     sqrt_rule_coefficient)
 from .cos_engine import CosParameters
 from .errors import (NoClosedForm, NoSmoothness, NotReachedWithinCap,
                      ToleranceTooLoose)
-from .models import (VG, HeavyTail, MarketContext, ModelSpec, SemiHeavyTail,
+from .models import (HeavyTail, MarketContext, ModelSpec, SemiHeavyTail,
                      TailProfile, central_moment, centralized_cf, tail_profile)
 
 __all__ = ["TuningRequest", "tune", "minimize_series_order"]
@@ -47,28 +51,6 @@ class TuningRequest:
             raise ValueError("moment order must be even and >= 2")
         if self.series_order < 1:
             raise ValueError("series order must be >= 1")
-
-
-def _vg_smoothness_cap(model: VG, T: float) -> int:
-    """Largest J >= 0 with J + 2 < 2T/nu, or -1 when not even once
-    continuously differentiable with bounded derivative."""
-    limit = 2.0 * T / model.nu - 2.0
-    if limit <= 0.0:
-        return -1
-    return math.ceil(limit) - 1
-
-
-def _effective_order(model: ModelSpec, T: float, requested: int) -> int:
-    """Requested series order clamped to the model's smoothness; 0 selects
-    the square-root rule that only needs one bounded derivative."""
-    if isinstance(model, VG):
-        cap = _vg_smoothness_cap(model, T)
-        if cap < 0:
-            raise NoSmoothness(
-                f"VG density at T={T} (nu={model.nu}) lacks a bounded "
-                "derivative; no series rule applies")
-        return min(requested, cap)
-    return requested
 
 
 def _h_next(model: ModelSpec, ctx: MarketContext, order: int,
@@ -105,6 +87,8 @@ def _ranges(req: TuningRequest,
     a, al = profile.amplitude, profile.index
     M = (4.0 * a * K / (tol * al)) ** (1.0 / al)
     xi = math.sqrt(2.0 * M) * K
+    # xi * bl_bound_heavy(a, al, L) = tol/6 solved for L, kept in closed form:
+    # a product through bl_bound_heavy's coefficient moves L by one ulp
     L = max(M, (12.0 * a * math.sqrt(1.0 / (al * al) + 2.0 / 3.0)
                 * xi / tol) ** (2.0 / (1.0 + 2.0 * al)))
     return M, L, xi, {"M": f"Pareto tail-mass rule (index {al:.4g})",
@@ -115,19 +99,20 @@ def _series_length(j: int, bound: DerivativeBound, L: float, xi: float,
                    tol: float) -> float:
     """Real-valued series length, never below 4L/pi.
 
-    j = 0 is the square-root rule (4 H_1 L / pi * 6 xi / tol)^2; j >= 1 is
-    ((2^(j+2) H_(j+1) L^(j+1) / (j pi^(j+1))) * 12 xi / tol)^(1/j), evaluated
-    in the log domain.  Raises NotReachedWithinCap when no finite length
-    meets the tolerance.
+    The smallest N at which xi times the leading term of
+    `series_truncation_bound` meets its share of the tolerance: tol/6 for
+    the square-root rule C_0 / sqrt(N) at j = 0, tol/12 for C_j / N^j at
+    j >= 1 (solved in the log domain).  Raises NotReachedWithinCap when no
+    finite length meets the tolerance.
     """
     try:
         if j == 0:
-            n_bound = (4.0 * bound.value * L / math.pi * 6.0 * xi / tol) ** 2
+            n_bound = (sqrt_rule_coefficient(bound.value, L)
+                       * 6.0 * xi / tol) ** 2
         else:
             n_bound = math.exp(
-                ((j + 2) * math.log(2.0) + bound.log_value
-                 + (j + 1) * math.log(L) - math.log(j)
-                 - (j + 1) * math.log(math.pi) + math.log(12.0 * xi / tol)) / j)
+                (series_log_coefficient(j, bound.log_value, L)
+                 + math.log(12.0 * xi / tol)) / j)
     except OverflowError:
         n_bound = math.inf
     n_real = max(4.0 * L / math.pi, n_bound)
@@ -151,9 +136,7 @@ def _check_semiheavy_range(profile: SemiHeavyTail, L: float, M: float,
         raise ToleranceTooLoose(
             f"range {L:.4g} below the tail-domination onset {profile.onset:.4g}")
     l_density = -math.log(math.sqrt(r) / a * tol / (6.0 * xi)) / r
-    bracket = (2.0 * math.pi * a / math.sqrt(6.0 * r)
-               * math.sqrt(1.0 + 1.0 / (M * r) + 0.5 / (M * r) ** 2))
-    l_subst = -math.log(tol / (6.0 * xi) / bracket) / r
+    l_subst = -math.log(tol / (6.0 * xi) / bl_semiheavy_factor(a, r, M)) / r
     checks = [("density-tail", l_density), ("substitution-term", l_subst)]
     if with_series_cond:
         l_series = -math.log(math.pi / (4.0 * a) * tol / (12.0 * xi)) / r
@@ -169,7 +152,7 @@ def _best_order(req: TuningRequest, L: float, xi: float) -> tuple[int, int]:
     """(order, N) minimizing the series length over orders 1.._MAX_ORDER
     (clamped to the model's smoothness) for the given ranges; ties break
     toward the smaller order.  Needs closed-form derivative bounds."""
-    cap = _effective_order(req.model, req.ctx.T, _MAX_ORDER)
+    cap = series_order_cap(req.model, req.ctx, _MAX_ORDER)
     if cap < 1:
         raise NoSmoothness("no derivative order >= 1 is admissible")
     n_star, j_star = min(
@@ -194,7 +177,7 @@ def tune(req: TuningRequest, h_next: DerivativeBound | None = None) -> CosParame
             f"payoff range {M:.4g} below the tail-domination onset "
             f"{profile.onset:.4g}")
 
-    j = _effective_order(req.model, req.ctx.T, req.series_order)
+    j = series_order_cap(req.model, req.ctx, req.series_order)
     if req.minimize_order and j >= 1:
         j, _ = _best_order(req, L, xi)
 

@@ -53,13 +53,26 @@ def test_fmls_high_order_log_consistency():
     assert b.value == pytest.approx(math.exp(expect), rel=1e-12)
 
 
+def _gauss_hj(j, s):
+    # (1/pi) Int_0^inf u^j exp(-s^2 u^2 / 2) du in its even/odd factorial
+    # form, with exact integer factorials
+    if j % 2 == 0:
+        k = j // 2
+        return (math.factorial(j) // math.factorial(k)
+                / (s ** (j + 1) * math.sqrt(2.0 * math.pi) * 2.0 ** k))
+    k = (j - 1) // 2
+    return 2.0 ** k * math.factorial(k) / (s ** (j + 1) * math.pi)
+
+
 def test_gauss_equals_stable_specialization():
-    sT = 0.2
-    st = Stable(2.0, 0.0, sT / math.sqrt(2.0))
-    for j in range(0, 15):
-        g = hj_closed_form(BS(0.2), CTX, j).value
-        s = hj_closed_form(st, CTX, j).value
-        assert g == pytest.approx(s, rel=1e-12), j
+    # BS is the alpha = 2 member of the stable bound
+    for sigma, T in ((0.2, 1.0), (0.35, 0.25), (0.1, 4.0)):
+        s = sigma * math.sqrt(T)
+        ctx = MarketContext(100.0, 0.0, T)
+        for j in range(81):
+            b = hj_closed_form(BS(sigma), ctx, j)
+            assert b.source is HjSource.CLOSED_FORM_GAUSS
+            assert b.value == pytest.approx(_gauss_hj(j, s), rel=1e-12), j
 
 
 @pytest.mark.parametrize("model", [BS(0.2), NIG(1.2, 0.8),

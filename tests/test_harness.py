@@ -251,7 +251,7 @@ def test_cli_exit_codes(capsys):
     assert cli_main(["price", "--model", "vg", "--sigma", "0.1", "--nu", "0.2",
                      "--T", "0.25", "--eps", "1e-2", "--n", "4",
                      "--payoff", "call"]) == 3
-    # every sweep starts at N = 2^4
+    # a sweep too short to fit
     assert cli_main(["experiment", "--id", "l_optimal",
                      "--n-max-exp", "3"]) == 2
     capsys.readouterr()
@@ -380,3 +380,42 @@ def test_run_experiment_dispatch():
     out = run_experiment(ExperimentConfig(experiment="convergence_cauchy",
                                           n_max_exp=8))
     assert "linear(0.1)" in out["results"]
+
+
+@pytest.mark.parametrize("exp_id", ["l_optimal", "convergence_bs"])
+def test_sweeps_too_short_to_fit_exit_2_before_running(exp_id, monkeypatch,
+                                                       capsys):
+    import coskit.harness as harness
+    # the least n_max_exp leaves exactly two sweep points N = 2^e at
+    # N >= _FIT_N_MIN
+    least = harness._MIN_N_MAX_EXP
+    assert 2 ** (least - 2) < harness._FIT_N_MIN <= 2 ** (least - 1)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(harness, "run_convergence", no_sweep)
+    assert cli_main(["experiment", "--id", exp_id,
+                     "--n-max-exp", str(least - 1)]) == 2
+    assert "n_max_exp" in capsys.readouterr().err
+    ExperimentConfig(exp_id, n_max_exp=least)
+
+
+def test_short_window_gives_nan_range_slope():
+    # below the least n_max_exp both fits see one point in their window
+    for res in run_l_optimal(n_max_exp=6)["results"].values():
+        assert math.isnan(res["range_slope"])
+        assert math.isnan(res["slope"])
+        assert [n for n, _, _ in res["optimal_rows"]] == [16, 32, 64]
+
+
+def test_os_errors_exit_2(tmp_path, capsys):
+    missing = os.fspath(tmp_path / "missing.cfg")
+    assert cli_main(["tune", "--config", missing, "--eps", "1e-8"]) == 2
+    assert cli_main(["tune", "--config", os.fspath(tmp_path),
+                     "--eps", "1e-8"]) == 2
+    out = os.fspath(tmp_path / "no-such-dir" / "x.csv")
+    assert cli_main(["experiment", "--id", "convergence_cauchy",
+                     "--n-max-exp", "7", "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert capsys.readouterr().err.count("error: ") == 3

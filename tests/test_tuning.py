@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coskit import tuning
-from coskit.bounds import hj_closed_form, hj_numeric
+from coskit.bounds import hj_closed_form, hj_numeric, series_truncation_bound
 from coskit.cos_engine import Call, DigitalBelow, Put, cos_price
 from coskit.errors import (CosKitError, IntegralDiverged, NoClosedForm,
                            NoSmoothness, NotReachedWithinCap,
@@ -262,6 +262,44 @@ def test_tail_profile_read_once_per_tune(name, minimize, monkeypatch):
         tune(req)
     assert calls["tail_profile"] == 1
     assert calls["central_moment"] <= 1
+
+
+def _check_smallest_n(N, h, L, xi, tol, j):
+    # N is the smallest length at which xi times the leading term of
+    # series_truncation_bound (boundary sums 0) meets the series share of
+    # tol, unless the 4L/pi floor binds
+    share = tol / 6.0 if j == 0 else tol / 12.0
+
+    def err(n):
+        return xi * series_truncation_bound(h, [0.0] * j, L, n, j)
+
+    assert err(N) <= share * (1.0 + 1e-9)
+    if N > math.ceil(4.0 * L / math.pi):
+        assert err(N - 1) > share * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+@pytest.mark.parametrize("name", ["bs", "nig", "fmls", "cauchy"])
+def test_series_length_solves_series_truncation_bound(name, tol):
+    model, ctx, K, n = GOLDEN_SETUPS[name]
+    for j in (0, 1, 10, 40):
+        req = TuningRequest(model, ctx, K, tol, n, max(j, 1))
+        M, L, xi, _ = tuning._ranges(req, tuning.tail_profile(model, ctx))
+        h = hj_closed_form(model, ctx, j + 1)
+        # the request takes orders >= 1; j = 0 is the rule tune falls back to
+        N = tuning._ceil_n(tuning._series_length(j, h, L, xi, tol))
+        if j >= 1:
+            assert N == tune(req).N
+        _check_smallest_n(N, h.value, L, xi, tol, j)
+
+
+def test_square_root_rule_solves_series_truncation_bound():
+    model, ctx, K, n = GOLDEN_SETUPS["vg_short"]
+    params = tune(TuningRequest(model, ctx, K, 1e-4, n))
+    assert "square-root" in params.provenance["N"]
+    h1 = hj_numeric(centralized_cf(model, ctx), 1).value
+    _check_smallest_n(params.N, h1, params.L,
+                      math.sqrt(2.0 * params.M) * K, 1e-4, 0)
 
 
 _H3 = hj_closed_form(BS(0.2), CTX, 3)
