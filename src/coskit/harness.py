@@ -9,10 +9,12 @@ is listed as a nondeterministic field).  Also exposes `price`, `tune` and
 
 import argparse
 import math
+import os
 import statistics
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -599,8 +601,19 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    run_experiment(ExperimentConfig(experiment=args.id, out=args.out,
-                                    n_max_exp=args.n_max_exp))
+    # a bad --out path exits before the study runs; a file made only by this
+    # check goes again if the study fails.  A FIFO is not opened twice, since
+    # closing it would end its reader's input.
+    made = bool(args.out) and not os.path.lexists(args.out)
+    if args.out and not Path(args.out).is_fifo():
+        open(args.out, "a").close()
+    try:
+        run_experiment(ExperimentConfig(experiment=args.id, out=args.out,
+                                        n_max_exp=args.n_max_exp))
+    except BaseException:
+        if made:
+            os.remove(args.out)
+        raise
     if args.out:
         print(f"wrote {args.out}")
     return 0

@@ -162,6 +162,21 @@ class CentralizedCF:
     T: float
 
 
+_REAL_SCALARS = (float, int, np.floating, np.integer)
+
+
+def _complex_arg(u):
+    """phi's argument as complex: a real scalar (what QUADPACK passes, one
+    point at a time) becomes an np.complex128, so phi runs as NumPy scalar
+    math instead of paying ufunc dispatch on a 0-d array; every product
+    with x + 0i is exact, so the value is the same bit for bit.  Arrays
+    and complex scalars (a general complex product may round differently
+    in scalar math) take the array path."""
+    if isinstance(u, _REAL_SCALARS):
+        return np.complex128(u)
+    return np.asarray(u, dtype=complex)
+
+
 def _stable_cf(alpha: float, beta: float, scale: float, loc: float):
     """CF of a stable law in the standard parameterization (real arguments)."""
     tan_term = math.tan(math.pi * alpha / 2.0) if alpha != 1.0 else 0.0
@@ -201,7 +216,7 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         var = model.sigma ** 2 * T
 
         def phi(u):
-            u = np.asarray(u, dtype=complex)
+            u = _complex_arg(u)
             return np.exp(-0.5 * var * u * u)
 
         mu = math.log(ctx.S0) + (ctx.r - 0.5 * model.sigma ** 2) * T
@@ -214,7 +229,7 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
                 "NIG stock model needs alpha >= 1 for the martingale correction")
 
         def phi(u):
-            u = np.asarray(u, dtype=complex)
+            u = _complex_arg(u)
             return np.exp(d * T * (a - np.sqrt(a * a + u * u)))
 
         w = -d * (a - math.sqrt(a * a - 1.0))
@@ -231,7 +246,7 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         w = math.log(mgf_arg) / nu
 
         def phi(u):
-            u = np.asarray(u, dtype=complex)
+            u = _complex_arg(u)
             base = 1.0 - 1j * th * nu * u + 0.5 * s * s * nu * u * u
             return base ** (-T / nu) * np.exp(-1j * u * th * T)
 
@@ -247,7 +262,7 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
             # exp(-c^alpha * sec(pi a/2) * (i u)^alpha), principal branch;
             # equals the stable CF with beta = -1 on the real axis and extends
             # analytically to Im(u) <= 0.
-            u = np.asarray(u, dtype=complex)
+            u = _complex_arg(u)
             return np.exp(-(c ** a) * sec * (1j * u) ** a)
 
         mu = math.log(ctx.S0) + ctx.r * T + _fmls_log_moment_shift(model, T) * T

@@ -124,7 +124,7 @@ def _inversion_point(phi, x: float, j: int = 0,
     if abs(x) < 1e-12:
         # the Fourier kernel is flat at this scale and the oscillatory rules
         # misbehave at near-zero frequency
-        val, err = quad(lambda u: float(np.real(g(u))), 0.0, np.inf,
+        val, err = quad(lambda u: g(u).real, 0.0, np.inf,
                         epsabs=epsabs, limit=400, full_output=1)[:2]
         return val / math.pi, err / math.pi
     # symmetric models make one component vanish identically; skip it rather
@@ -132,13 +132,11 @@ def _inversion_point(phi, x: float, j: int = 0,
     has_real, has_imag = _nonzero_parts(phi, j)
     total, err = 0.0, 0.0
     if has_real:
-        val, e = _oscillatory_quad(lambda u: float(np.real(g(u))),
-                                   "cos", x, epsabs)
+        val, e = _oscillatory_quad(lambda u: g(u).real, "cos", x, epsabs)
         total += val
         err += e
     if has_imag:
-        val, e = _oscillatory_quad(lambda u: float(np.imag(g(u))),
-                                   "sin", x, epsabs)
+        val, e = _oscillatory_quad(lambda u: g(u).imag, "sin", x, epsabs)
         total += val
         err += e
     return total / math.pi, err / math.pi

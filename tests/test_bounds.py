@@ -1,7 +1,9 @@
+import itertools
 import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -200,6 +202,21 @@ def test_truncation_bound_quarter_scaling():
     b1 = series_truncation_bound(5.0, [0.1], 3.0, 64, 1)
     b4 = series_truncation_bound(5.0, [0.1], 3.0, 256, 1)
     assert b4 / b1 == pytest.approx(0.25, rel=1e-14)
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 4, 6, 9, 12, 20])
+def test_truncation_bound_constant_matches_mpmath(J):
+    # with zero boundary sums the bound is its leading term alone,
+    # 2^(J+2) H L^(J+1) / (J pi^(J+1) N^J), here at 30 digits
+    grid = itertools.product((1e-3, 0.7, 5.0, 3e4), (0.25, 1.0, 3.0, 12.5),
+                             (16, 179, 1024, 65536))
+    for h, L, n in grid:
+        with mpmath.workdps(30):
+            exact = (mpmath.mpf(2) ** (J + 2) * mpmath.mpf(h)
+                     * mpmath.mpf(L) ** (J + 1)
+                     / (J * mpmath.pi ** (J + 1) * mpmath.mpf(n) ** J))
+        bound = series_truncation_bound(h, [0.0] * J, L, n, J)
+        assert bound == pytest.approx(float(exact), rel=1e-13), (h, L, n)
 
 
 def test_truncation_bound_monotone_in_n():

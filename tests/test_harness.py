@@ -409,13 +409,66 @@ def test_short_window_gives_nan_range_slope():
         assert [n for n, _, _ in res["optimal_rows"]] == [16, 32, 64]
 
 
-def test_os_errors_exit_2(tmp_path, capsys):
+def test_os_errors_exit_2(tmp_path, monkeypatch, capsys):
+    import coskit.harness as harness
+
+    def no_study(cfg):
+        raise AssertionError("the study ran")
+
     missing = os.fspath(tmp_path / "missing.cfg")
     assert cli_main(["tune", "--config", missing, "--eps", "1e-8"]) == 2
     assert cli_main(["tune", "--config", os.fspath(tmp_path),
                      "--eps", "1e-8"]) == 2
+    # an --out that cannot be opened exits before the study runs
+    monkeypatch.setattr(harness, "run_experiment", no_study)
     out = os.fspath(tmp_path / "no-such-dir" / "x.csv")
-    assert cli_main(["experiment", "--id", "convergence_cauchy",
-                     "--n-max-exp", "7", "--out", out]) == 2
+    for bad in (out, os.fspath(tmp_path)):
+        assert cli_main(["experiment", "--id", "convergence_cauchy",
+                         "--n-max-exp", "7", "--out", bad]) == 2
     assert not os.path.exists(out)
-    assert capsys.readouterr().err.count("error: ") == 3
+    assert capsys.readouterr().err.count("error: ") == 4
+
+
+def test_out_to_a_device_file_or_fifo(tmp_path, capsys):
+    import threading
+
+    args = ["experiment", "--id", "convergence_cauchy", "--n-max-exp", "7"]
+    assert cli_main(args + ["--out", os.devnull]) == 0
+    assert capsys.readouterr().out == f"wrote {os.devnull}\n"
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    rc = []
+    writer = threading.Thread(
+        target=lambda: rc.append(cli_main(args + ["--out", os.fspath(fifo)])))
+    writer.start()
+    text = fifo.read_text()
+    writer.join(timeout=30)
+    if writer.is_alive():  # the FIFO was opened twice: free the writer
+        fifo.read_text()
+        writer.join()
+    assert rc == [0]
+    assert _strip_nondet(text) == _strip_nondet(run_experiment(
+        ExperimentConfig("convergence_cauchy", n_max_exp=7))["csv"])
+
+
+def test_failed_study_keeps_an_existing_out_file(tmp_path, monkeypatch):
+    import coskit.harness as harness
+
+    def failing_study(cfg):
+        raise NotReachedWithinCap("the study failed")
+
+    kept = "kept\n"
+    out = tmp_path / "x.csv"
+    out.write_text(kept)
+    new = tmp_path / "new.csv"
+    monkeypatch.setattr(harness, "run_experiment", failing_study)
+    for path in (out, new):
+        assert cli_main(["experiment", "--id", "table1",
+                         "--out", os.fspath(path)]) == 3
+    assert out.read_text() == kept
+    assert not new.exists()
+    monkeypatch.undo()
+    assert cli_main(["experiment", "--id", "convergence_cauchy",
+                     "--n-max-exp", "8", "--out", os.fspath(out)]) == 0
+    assert _strip_nondet(out.read_text()) == _strip_nondet(run_experiment(
+        ExperimentConfig("convergence_cauchy", n_max_exp=8))["csv"])

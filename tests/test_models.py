@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coskit.errors import ModelParameterError, MomentDoesNotExist
@@ -146,6 +148,46 @@ def test_centering_fmls_heavy_tail_rate():
     mean = -1j * (cf.phi(h) - cf.phi(-h)) / (2.0 * h)
     assert abs(mean.imag) <= 1e-6
     assert abs(mean.real) <= 1e-3
+
+
+# the complex-typed CFs, with VG both symmetric and drifted and at a short
+# and a long maturity
+_SCALAR_PATH_CFS = [
+    centralized_cf(model, ctx) for model, ctx in (
+        (BS(0.2), CTX),
+        (NIG(1.2, 0.8), CTX),
+        (NIG(15.0, 0.5), CTX_VG),
+        (VG(0.1, 0.2, 0.0), CTX_VG),
+        (VG(0.12, 0.2, 0.0), MarketContext(100.0, 0.02, 1.5)),
+        (VG(0.12, 0.3, -0.1), CTX),
+        (VG(0.12, 0.2, -0.14), CTX_VG),
+        (FMLS(1.5597, 0.1486), CTX),
+    )
+]
+
+_REAL_POINTS = st.builds(
+    lambda magnitude, negative: -magnitude if negative else magnitude,
+    st.one_of(st.just(0.0), st.just(5e-324),
+              st.floats(0.0, 10.0),
+              st.floats(-6.0, 9.0).map(lambda e: 10.0 ** e)),
+    st.booleans())
+
+
+def _bits(value):
+    return np.array([value], dtype=complex).view(np.int64).tolist()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(_SCALAR_PATH_CFS), _REAL_POINTS)
+def test_real_scalar_phi_equals_0d_array_bit_for_bit(cf, x):
+    # a real scalar runs phi as NumPy scalar math; it must give the value of
+    # the 0-d array path exactly (a 1-element array is not the reference:
+    # the vector loop may fuse multiply-adds)
+    expected = _bits(cf.phi(np.asarray(x)))
+    for arg in (float(x), np.float64(x)):
+        value = cf.phi(arg)
+        assert isinstance(value, np.complex128)
+        assert _bits(value) == expected, (cf.model, cf.T, x)
 
 
 def test_martingale_property_by_quadrature():
