@@ -3,7 +3,11 @@ closed-form payoff coefficients, and the truncated pricing sum.
 
 The density of the centralized log-return is expanded in cosines on [-L, L];
 the payoff is integrated on [-M, M] with M <= L.  Prices are the half-weighted
-dot product of the two coefficient vectors.
+dot product of the two coefficient vectors, taken only over the terms that
+can be nonzero: every second k when phi is real, and no k whose frequency
+k pi/(2L) lies where fl(phi) is exactly 0 (CentralizedCF.real, .zero_from).
+The terms left out are exactly +-0, and every price is the correctly rounded
+sum of its terms, so it is the full series' price bit for bit.
 """
 
 import math
@@ -93,34 +97,46 @@ _COS_QUARTER = np.array([1.0, 0.0, -1.0, 0.0])
 _SIN_QUARTER = np.array([0.0, 1.0, 0.0, -1.0])
 
 
-def cos_coefficients(cf: CentralizedCF, L: float, N: int) -> np.ndarray:
+def _indices(N: int | range) -> np.ndarray:
+    """The k of a coefficient vector: 0..N for an int N, or the k of a
+    range from 0 with a positive step."""
+    if isinstance(N, range):
+        if N.start != 0 or N.step < 1 or not N:
+            raise ValueError(f"need a nonempty range from 0 with a positive "
+                             f"step, got {N!r}")
+        return np.arange(0, N.stop, N.step)
+    return np.arange(N + 1)
+
+
+def cos_coefficients(cf: CentralizedCF, L: float, N: int | range) -> np.ndarray:
     """Density cosine coefficients c_k = (1/L) Re{phi(k pi/(2L)) e^{ik pi/2}}
-    for k = 0..N.  c_0 is exactly 1/L because phi(0) = 1."""
-    k = np.arange(N + 1)
+    for k = 0..N, or for the k of N when it is a range from 0.  c_0 is
+    exactly 1/L because phi(0) = 1."""
+    k = _indices(N)
     vals = cf.phi(k * (math.pi / (2.0 * L)))
     quarter = k & 3
     return (vals.real * _COS_QUARTER[quarter]
             - vals.imag * _SIN_QUARTER[quarter]) / L
 
 
-def _basis_integrals(a: float, b: float, L: float, N: int,
+def _basis_integrals(a: float, b: float, L: float, k: np.ndarray,
                      exp_weighted: bool) -> tuple:
-    """Integrals of the basis cosines over [a, b] for k = 0..N:
-    psi_k = Int_a^b cos(k pi (x+L)/(2L)) dx and, when exp_weighted,
+    """Integrals of the basis cosines over [a, b] for the indices k (k[0] is
+    0): psi_k = Int_a^b cos(k pi (x+L)/(2L)) dx and, when exp_weighted,
     chi_k = Int_a^b e^x cos(k pi (x+L)/(2L)) dx (else None).
 
     Both read one sine (and cosine) of the upper angle w (b+L).  The lower
     angle w (a+L) is exactly 0 when a = -L, where its sine is 0 and its
     cosine 1, so it is only evaluated when a + L != 0.
     """
-    w = np.arange(N + 1) * (math.pi / (2.0 * L))
+    w = k * (math.pi / (2.0 * L))
     tb = w * (b + L)
     sb = np.sin(tb)
     lower = a + L != 0.0
     if lower:
         ta = w * (a + L)
         sa = np.sin(ta)
-    psi = np.empty(N + 1)
+    psi = np.empty(k.size)
     psi[0] = b - a
     psi[1:] = (sb[1:] - sa[1:] if lower else sb[1:]) / w[1:]
     if not exp_weighted:
@@ -145,22 +161,24 @@ def _upper_limit(payoff: Payoff, mu: float) -> float:
 
 
 def payoff_coefficients(payoff: Payoff, ctx: MarketContext, mu: float,
-                        M: float, L: float, N: int) -> np.ndarray:
+                        M: float, L: float, N: int | range) -> np.ndarray:
     """Closed-form payoff coefficients v_k = Int_{-M}^{M} v(x) e_k(x) dx for
-    k = 0..N, with v the discounted payoff of the centralized log-return.
+    k = 0..N (or the k of N when it is a range from 0), with v the
+    discounted payoff of the centralized log-return.
 
     When the payoff has no mass on [-M, M] (its upper limit is <= -M) the
     vector is zero; cos_price reports such a price as degenerate.
     """
     if not (0.0 < M <= L):
         raise ValueError(f"need 0 < M <= L, got M={M}, L={L}")
+    k = _indices(N)
     disc = math.exp(-ctx.r * ctx.T)
     d = _upper_limit(payoff, mu)
     if d <= -M:
-        return np.zeros(N + 1)
+        return np.zeros(k.size)
     d = min(d, M)
     digital = isinstance(payoff, DigitalBelow)
-    psi, chi = _basis_integrals(-M, d, L, N, exp_weighted=not digital)
+    psi, chi = _basis_integrals(-M, d, L, k, exp_weighted=not digital)
     if digital:
         return disc * psi
     return disc * (payoff.strike * psi - math.exp(mu) * chi)
@@ -169,8 +187,9 @@ def payoff_coefficients(payoff: Payoff, ctx: MarketContext, mu: float,
 # Term vectors shorter than this are summed by math.fsum over a list, longer
 # ones in vector passes (the two cost the same at 1-2 k terms).
 _VECTOR_SUM_MIN = 1024
-# Longest series cos_prices builds.  Pricing peaks at 80-88 B per term, so
-# the cap is about 3 GB.
+# Longest series cos_prices prices, counted on the requested N whatever its
+# support.  A vector of every term peaks at 80-88 B per term, so the cap is
+# about 3 GB.
 _MAX_TERMS = 2 ** 25
 
 
@@ -228,17 +247,36 @@ def _prefix_sums(terms: np.ndarray, ns) -> list[float]:
             for s_n, ok, n in zip(s.tolist(), decided, ns)]
 
 
+def _support(cf: CentralizedCF, L: float, n_max: int) -> range:
+    """The k <= n_max whose term c_k v_k can be nonzero.
+
+    When phi is real, c_k at odd k is -Im(phi) sin(k pi/2) / L = +-0, so
+    only even k count.  From k pi/(2L) >= cf.zero_from on, fl(phi) is 0 and
+    so is c_k; the last k kept is one past the last grid frequency below
+    it, which absorbs the rounding of k pi/(2L).  Far out (|u| of 1e100 and
+    more) the products inside phi can overflow into nan instead: a series
+    whose phi at its last frequency is not finite keeps every term.
+    """
+    w = math.pi / (2.0 * L)
+    if not np.isfinite(cf.phi(np.array([n_max * w]))[0]):
+        return range(n_max + 1)
+    last = n_max if n_max * w < cf.zero_from else int(cf.zero_from / w) + 1
+    return range(0, min(last, n_max) + 1, 2 if cf.real else 1)
+
+
 def cos_prices(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
                M: float, L: float, ns) -> list[float]:
     """One price per series length in ns, all with ranges (M, L).
 
-    c_k and v_k depend on (L, k) alone, so one term vector of length
-    max(ns) + 1 serves every N: the price at N is the correctly rounded sum
-    of its first N + 1 terms (_prefix_sums), bit for bit what a series built
-    at N would give.  Calls add the parity term S0 - K exp(-rT) on top of the
-    put price; a payoff with no mass on [-M, M] prices at 0 (plus parity for
-    a call).  A series longer than _MAX_TERMS terms raises
-    NotReachedWithinCap before anything is allocated.
+    c_k and v_k depend on (L, k) alone, so one term vector serves every N.
+    It holds only the terms that can be nonzero (_support): every other
+    term is exactly +-0 (c_k = +-0 times a finite v_k).  The price at N is
+    the correctly rounded sum of the kept terms with k <= N (_prefix_sums),
+    so it is bit for bit what a full series built at N would give.  Calls
+    add the parity term S0 - K exp(-rT) on top of the put price; a payoff
+    with no mass on [-M, M] prices at 0 (plus parity for a call).  A
+    requested N above _MAX_TERMS raises NotReachedWithinCap before anything
+    is allocated.
     """
     n_max = max(ns)
     if n_max > _MAX_TERMS:
@@ -248,10 +286,11 @@ def cos_prices(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
         prices = [0.0] * len(ns)
     else:
         inner = Put(payoff.strike) if isinstance(payoff, Call) else payoff
-        terms = (cos_coefficients(cf, L, n_max)
-                 * payoff_coefficients(inner, ctx, cf.mu, M, L, n_max))
+        ks = _support(cf, L, n_max)
+        terms = (cos_coefficients(cf, L, ks)
+                 * payoff_coefficients(inner, ctx, cf.mu, M, L, ks))
         terms[0] *= 0.5
-        prices = _prefix_sums(terms, ns)
+        prices = _prefix_sums(terms, [min(n, ks[-1]) // ks.step for n in ns])
 
     if isinstance(payoff, Call):
         parity = ctx.S0 - payoff.strike * math.exp(-ctx.r * ctx.T)

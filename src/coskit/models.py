@@ -155,11 +155,19 @@ class CentralizedCF:
 
     phi is vectorized over numpy arrays.  For BS/NIG/VG/FMLS it also accepts
     complex arguments in the strip needed by damped-transform pricing.
+
+    Two facts about phi as numpy evaluates it on real arrays, which the COS
+    engine reads to skip terms that are exactly zero: `real` says its
+    imaginary part is exactly 0 (a symmetric density), and `zero_from` is a
+    frequency u0 with fl(phi(u)) exactly 0 for every |u| >= u0 (inf when no
+    such frequency is claimed).
     """
     phi: Callable[[np.ndarray], np.ndarray]
     mu: float
     model: ModelSpec
     T: float
+    real: bool
+    zero_from: float
 
 
 _REAL_SCALARS = (float, int, np.floating, np.integer)
@@ -175,6 +183,29 @@ def _complex_arg(u):
     if isinstance(u, _REAL_SCALARS):
         return np.complex128(u)
     return np.asarray(u, dtype=complex)
+
+
+# exp(x) rounds to exactly 0 for x below -745.14.  A model's zero_from is
+# where the exact exponent of its |phi| envelope reaches -_CUT_EXPONENT.  If
+# phi computes that exponent to within a relative error rel, there and at
+# every larger |u|, it stays below -745.14 as long as _CUT_EXPONENT (1 - rel)
+# exceeds _UNDERFLOW_MARGIN.  _REL_ROUNDING covers a few roundings and
+# libm's exp, log and pow.
+_CUT_EXPONENT = 750.0
+_UNDERFLOW_MARGIN = 745.2
+_REL_ROUNDING = 2.0 ** -40
+
+
+def _zero_from(root: Callable[[], float], rel: float) -> float:
+    """The frequency root() where a model's |phi| envelope reaches
+    exp(-_CUT_EXPONENT), or inf where the rounding of phi's exponent is not
+    bounded inside the underflow margin or the root overflows."""
+    if _CUT_EXPONENT * (1.0 - rel) <= _UNDERFLOW_MARGIN:
+        return math.inf
+    try:
+        return root()
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def _stable_cf(alpha: float, beta: float, scale: float, loc: float):
@@ -220,7 +251,10 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
             return np.exp(-0.5 * var * u * u)
 
         mu = math.log(ctx.S0) + (ctx.r - 0.5 * model.sigma ** 2) * T
-        return CentralizedCF(phi, mu, model, T)
+        # |phi| = exp(-var u^2 / 2)
+        zero = _zero_from(lambda: math.sqrt(2.0 * _CUT_EXPONENT / var),
+                          _REL_ROUNDING)
+        return CentralizedCF(phi, mu, model, T, real=True, zero_from=zero)
 
     if isinstance(model, NIG):
         a, d = model.alpha, model.delta
@@ -234,7 +268,14 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
 
         w = -d * (a - math.sqrt(a * a - 1.0))
         mu = math.log(ctx.S0) + (ctx.r + w) * T
-        return CentralizedCF(phi, mu, model, T)
+        # |phi| = exp(dT (a - sqrt(a^2 + u^2))); the rounding of sqrt(a^2 +
+        # u^2) costs up to a few ulps of dT a in the exponent, relative to
+        # its 750 at the cut
+        zero = _zero_from(
+            lambda: math.sqrt((2.0 * a + _CUT_EXPONENT / (d * T))
+                              * _CUT_EXPONENT / (d * T)),
+            rel=_REL_ROUNDING * (1.0 + d * T * a))
+        return CentralizedCF(phi, mu, model, T, real=True, zero_from=zero)
 
     if isinstance(model, VG):
         s, nu, th = model.sigma, model.nu, model.theta
@@ -251,7 +292,16 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
             return base ** (-T / nu) * np.exp(-1j * u * th * T)
 
         mu = math.log(ctx.S0) + (ctx.r + w) * T + th * T
-        return CentralizedCF(phi, mu, model, T)
+        # |phi| <= (1 + s^2 nu u^2 / 2)^(-T/nu).  numpy raises to an
+        # integer power by repeated products, which overflow into nan
+        # before they could underflow to 0, so an integer T/nu has no cut
+        zero = math.inf
+        if not (T / nu).is_integer():
+            zero = _zero_from(lambda: math.sqrt(
+                2.0 * math.expm1(_CUT_EXPONENT * nu / T) / (s * s * nu)),
+                _REL_ROUNDING)
+        return CentralizedCF(phi, mu, model, T, real=(th == 0.0),
+                             zero_from=zero)
 
     if isinstance(model, FMLS):
         a = model.alpha
@@ -266,18 +316,30 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
             return np.exp(-(c ** a) * sec * (1j * u) ** a)
 
         mu = math.log(ctx.S0) + ctx.r * T + _fmls_log_moment_shift(model, T) * T
-        return CentralizedCF(phi, mu, model, T)
+        # |phi| = exp(-(c u)^a) exactly, but the computed exponent is sec
+        # times a cos(pi a / 2) that (i u)^a rounds apart: a few ulps of
+        # pi/2 over |cos(pi a / 2)|, which no margin covers as a nears 1
+        zero = _zero_from(
+            lambda: _CUT_EXPONENT ** (1.0 / a) / c,
+            rel=_REL_ROUNDING + 2.0 ** -48 * abs(sec))
+        return CentralizedCF(phi, mu, model, T, real=False, zero_from=zero)
 
     if isinstance(model, Stable):
-        phi = _stable_cf(model.alpha, model.beta, model.scale, 0.0)
-        return CentralizedCF(phi, model.loc, model, T)
+        a, c = model.alpha, model.scale
+        phi = _stable_cf(a, model.beta, c, 0.0)
+        # the real part of the exponent is -(c |u|)^a, computed directly
+        # whatever beta is
+        zero = _zero_from(lambda: _CUT_EXPONENT ** (1.0 / a) / c, _REL_ROUNDING)
+        return CentralizedCF(phi, model.loc, model, T, real=(model.beta == 0.0),
+                             zero_from=zero)
 
     if isinstance(model, Cauchy):
         def phi(u):
             u = np.asarray(u, dtype=float)
             return np.exp(-np.abs(u)) + 0.0j
 
-        return CentralizedCF(phi, 0.0, model, T)
+        return CentralizedCF(phi, 0.0, model, T, real=True,
+                             zero_from=_CUT_EXPONENT)
 
     raise ModelParameterError(f"unsupported model {model!r}")
 

@@ -16,7 +16,7 @@ from coskit.cos_engine import (Call, CosParameters, DigitalBelow, Put,
                                payoff_coefficients)
 from coskit.errors import NotReachedWithinCap
 from coskit.harness import run_l_optimal
-from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext,
+from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext, Stable,
                            centralized_cf, closed_form_density)
 from coskit.reference import black_scholes_put, cauchy_cdf
 from coskit.tuning import TuningRequest, tune
@@ -193,6 +193,69 @@ def test_prefix_prices_equal_single_prices_bitwise(model, payoff):
         assert cos_price(cf, payoff, CTX, CosParameters(M, L, n)).price == want
 
 
+# L puts each model's cut at about half of N_CUT_TEST; a real phi also drops
+# every odd k
+N_CUT_TEST = 600
+_CUT_CASES = [(BS(0.2), 1.0), (NIG(2.0, 0.2), 1.0), (VG(0.3, 0.0047), 1.3),
+              (VG(0.3, 0.0047, -0.1), 1.3), (FMLS(1.5597, 0.1486), 1.0),
+              (Stable(1.5, 0.0, 0.8), 1.0), (Stable(1.3, 0.5, 0.6), 1.0),
+              (Cauchy(), 1.0)]
+
+
+@pytest.mark.parametrize("model,T", _CUT_CASES, ids=[
+    "bs", "nig", "vg", "vg-drift", "fmls", "stable", "stable-skew", "cauchy"])
+@pytest.mark.parametrize("payoff", [Put(100.0), Call(97.0), DigitalBelow(0.02)],
+                         ids=["put", "call", "digital"])
+def test_support_prices_equal_full_vector_fsums(model, T, payoff):
+    # every prefix price of the support vector carries the bits (value and
+    # sign) of math.fsum over the full term vector of that prefix
+    ctx = MarketContext(100.0, 0.01, T)
+    cf = centralized_cf(model, ctx)
+    L = math.pi * (N_CUT_TEST / 2) / (2.0 * cf.zero_from)
+    M = 0.8 * L
+    ks = cos_engine._support(cf, L, N_CUT_TEST)
+    assert ks[-1] < 0.6 * N_CUT_TEST and ks.step == (2 if cf.real else 1)
+
+    inner = Put(payoff.strike) if isinstance(payoff, Call) else payoff
+    c = cos_coefficients(cf, L, N_CUT_TEST)
+    assert np.all(np.delete(c, ks) == 0.0)
+    terms = (c * payoff_coefficients(inner, ctx, cf.mu, M, L,
+                                     N_CUT_TEST)).tolist()
+    terms[0] *= 0.5
+    parity = (ctx.S0 - payoff.strike * math.exp(-ctx.r * ctx.T)
+              if isinstance(payoff, Call) else 0.0)
+    want = [(math.fsum(terms[:n + 1]) + parity).hex()
+            for n in range(N_CUT_TEST + 1)]
+    got = cos_prices(cf, payoff, ctx, M, L, list(range(N_CUT_TEST + 1)))
+    assert [p.hex() for p in got] == want
+
+
+def test_series_with_overflowing_phi_keeps_every_term():
+    # VG with an integer T/nu: numpy's integer power overflows into nan from
+    # k = 4611 on at L = 10.002 (where |phi| < 1e-308).  At N = 4611 only the
+    # odd last term is nan, so a support of even k would hide it; phi at the
+    # last frequency is nan, and the series stays whole
+    ctx = MarketContext(100.0, 0.0, 64.0)
+    cf = centralized_cf(VG(0.5, 1.0), ctx)
+    with np.errstate(all="ignore"):
+        assert cos_engine._support(cf, 10.002, 4610) == range(0, 4611, 2)
+        assert cos_engine._support(cf, 10.002, 4611) == range(4612)
+        prices = cos_prices(cf, Put(100.0), ctx, 10.002, 10.002, [4610, 4611])
+    assert math.isfinite(prices[0]) and math.isnan(prices[1])
+
+
+def test_coefficients_on_a_range_are_the_full_vector_entries():
+    ks = range(0, 301, 3)
+    c = cos_coefficients(CF_BS, 1.7, ks)
+    v = payoff_coefficients(Put(90.0), CTX, CF_BS.mu, 1.2, 1.7, ks)
+    assert c.tolist() == cos_coefficients(CF_BS, 1.7, 300)[::3].tolist()
+    assert v.tolist() == payoff_coefficients(Put(90.0), CTX, CF_BS.mu, 1.2,
+                                             1.7, 300)[::3].tolist()
+    for bad in (range(1, 9), range(0, 0), range(0, -4, -1)):
+        with pytest.raises(ValueError):
+            cos_coefficients(CF_BS, 1.7, bad)
+
+
 def _assert_prefix_sums_are_fsums(values):
     """Every prefix sum carries math.fsum's bits, the sign of zero included
     (float.hex tells -0.0 from 0.0 and reads every nan alike), or the helper
@@ -250,24 +313,33 @@ def test_prefix_sums_equal_fsum_on_long_vectors(values, size):
 
 def test_l_optimal_prefixes_rarely_fall_back(monkeypatch):
     # a prefix the vector passes cannot decide is summed again by math.fsum;
-    # over the l_optimal sweep that must stay rare
-    counts = {"prefixes": 0, "fsum": 0}
+    # over the l_optimal sweep that must stay rare.  Term vectors shorter
+    # than _VECTOR_SUM_MIN (the sweep's support past the underflow of phi
+    # can be) are summed by fsum by design and are not counted as fallbacks
+    counts = {"prefixes": 0, "vector": 0, "fsum": 0}
     real_prefix_sums, real_fsum = cos_engine._prefix_sums, math.fsum
+    on_vector_path = False
 
     def prefix_sums(terms, ns):
-        assert terms.size >= cos_engine._VECTOR_SUM_MIN
+        nonlocal on_vector_path
         counts["prefixes"] += len(ns)
-        return real_prefix_sums(terms, ns)
+        on_vector_path = terms.size >= cos_engine._VECTOR_SUM_MIN
+        counts["vector"] += len(ns) if on_vector_path else 0
+        try:
+            return real_prefix_sums(terms, ns)
+        finally:
+            on_vector_path = False
 
     def fsum(values):
-        counts["fsum"] += 1
+        counts["fsum"] += on_vector_path
         return real_fsum(values)
 
     monkeypatch.setattr(cos_engine, "_prefix_sums", prefix_sums)
     monkeypatch.setattr(cos_engine.math, "fsum", fsum)
     run_l_optimal()
     assert counts["prefixes"] == 2 * 201 * 11
-    assert counts["fsum"] <= 0.01 * counts["prefixes"]
+    assert counts["vector"] > 0.5 * counts["prefixes"]
+    assert counts["fsum"] <= 0.01 * counts["vector"]
 
 
 def test_series_longer_than_cap_raises_before_allocating():

@@ -190,6 +190,91 @@ def test_real_scalar_phi_equals_0d_array_bit_for_bit(cf, x):
         assert _bits(value) == expected, (cf.model, cf.T, x)
 
 
+# models drawn over wide parameter ranges, with FMLS and Stable alpha also
+# next to 1 (where sec(pi alpha / 2) loses digits), VG drift-free or not and
+# with T/nu sometimes an integer
+_NEAR_ONE = st.floats(1e-15, 1e-9)
+_FACT_CASES = st.one_of(
+    st.tuples(st.builds(BS, st.floats(0.01, 2.0)), st.floats(0.01, 5.0)),
+    st.tuples(st.builds(NIG, st.floats(1.0, 60.0), st.floats(0.01, 5.0)),
+              st.floats(0.01, 5.0)),
+    st.builds(lambda sigma, nu, theta, ratio: (VG(sigma, nu, theta), nu * ratio),
+              st.floats(0.05, 0.6), st.floats(0.002, 1.0),
+              st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
+              st.one_of(st.integers(1, 150).map(float), st.floats(1.0, 600.0))),
+    st.tuples(st.builds(FMLS, st.one_of(st.floats(1.01, 1.99),
+                                        _NEAR_ONE.map(lambda e: 1.0 + e)),
+                        st.floats(0.01, 2.0)),
+              st.floats(0.01, 5.0)),
+    st.tuples(st.builds(Stable,
+                        st.one_of(st.floats(0.05, 2.0),
+                                  _NEAR_ONE.map(lambda e: 1.0 + e),
+                                  _NEAR_ONE.map(lambda e: 1.0 - e)),
+                        st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                        st.floats(0.01, 5.0)),
+              st.just(1.0)),
+    st.tuples(st.just(Cauchy()), st.just(1.0)),
+)
+
+
+def _grid(L, ks):
+    return np.asarray(ks) * (math.pi / (2.0 * L))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_FACT_CASES, st.floats(1e-3, 1e3),
+       st.lists(st.integers(0, 2 ** 25), min_size=1, max_size=64))
+def test_phi_flagged_real_has_exactly_zero_imaginary_part(case, L, ks):
+    model, T = case
+    cf = centralized_cf(model, MarketContext(100.0, 0.01, T))
+    assert cf.real == (isinstance(model, (BS, NIG, Cauchy))
+                       or (isinstance(model, VG) and model.theta == 0.0)
+                       or (isinstance(model, Stable) and model.beta == 0.0))
+    if cf.real:
+        # numpy's integer powers overflow into nan where |phi| < 1e-308 (VG
+        # with integer T/nu); the engine keeps such a series whole
+        with np.errstate(all="ignore"):
+            values = cf.phi(_grid(L, np.arange(4097).tolist() + ks))
+        assert np.all(values.imag[np.isfinite(values)] == 0.0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_FACT_CASES, st.integers(1, 2 ** 20),
+       st.lists(st.integers(0, 2 ** 25), max_size=64))
+def test_phi_is_exactly_zero_from_its_cut_on(case, k_cut, beyond):
+    # L puts the cut near grid index k_cut; phi must be exactly 0 at u0
+    # itself, at the first grid index at or past it, at the first index the
+    # engine leaves out, and at sampled indices beyond
+    model, T = case
+    cf = centralized_cf(model, MarketContext(100.0, 0.01, T))
+    u0 = cf.zero_from
+    if math.isinf(u0):
+        return
+    L = math.pi * k_cut / (2.0 * u0)
+    w = math.pi / (2.0 * L)
+    first = math.ceil(u0 / w)
+    first += first * w < u0
+    ks = [first, first + 1, int(u0 / w) + 2] + [first + k for k in beyond]
+    values = cf.phi(np.concatenate([[u0], _grid(L, ks)]))
+    assert np.all(values == 0.0), (model, T, L)
+
+
+def test_cut_frequencies_of_the_reference_models():
+    # u0 where the |phi| envelope reaches exp(-750); none where rounding
+    # cannot be bounded (alpha next to 1) or numpy's integer powers overflow
+    def u0(model, T=1.0):
+        return centralized_cf(model, MarketContext(100.0, 0.0, T)).zero_from
+
+    assert u0(BS(0.2)) == pytest.approx(math.sqrt(1500.0) / 0.2)
+    assert u0(Cauchy()) == 750.0
+    assert u0(Stable(1.5, 0.3, 0.8)) == pytest.approx(750.0 ** (1 / 1.5) / 0.8)
+    assert u0(FMLS(1.5, 0.2), 4.0) == pytest.approx(
+        750.0 ** (1 / 1.5) / (0.2 * 4.0 ** (1 / 1.5)))
+    assert math.isinf(u0(FMLS(1.0 + 1e-14, 0.2)))
+    assert math.isfinite(u0(VG(0.12, 0.2), 1.1))
+    assert math.isinf(u0(VG(0.12, 0.2), 1.0))
+
+
 def test_martingale_property_by_quadrature():
     # E[S_T] = S0 e^{rT}: integrate e^{mu + x} f(x) against the density
     ctx = MarketContext(S0=100.0, r=0.03, T=0.75)

@@ -9,7 +9,9 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
+from scipy.special import roots_legendre
 
+from coskit import reference
 from coskit.cos_engine import Put, cos_price
 from coskit.errors import DampingInadmissible
 from coskit.harness import VG_SETUP, run_vg_counterexample
@@ -63,6 +65,25 @@ def test_carr_madan_vg_reference_price():
     ctx = MarketContext(100.0, 0.0, 0.25)
     cf = centralized_cf(VG(0.1, 0.2, 0.0), ctx)
     assert carr_madan_call(cf, ctx, 100.0) == pytest.approx(1.809833, abs=5e-6)
+
+
+def test_carr_madan_bits_do_not_depend_on_blas_threads():
+    # the Simpson sum takes no BLAS call, so the vg_counterexample reference
+    # has the same bits with one BLAS thread and with two
+    import coskit
+    code = ("from coskit.harness import VG_SETUP as s\n"
+            "from coskit.models import VG, MarketContext, centralized_cf\n"
+            "from coskit.reference import carr_madan_call\n"
+            "ctx = MarketContext(s['S0'], s['r'], s['T'])\n"
+            "cf = centralized_cf(VG(s['sigma'], s['nu'], s['theta']), ctx)\n"
+            "print(carr_madan_call(cf, ctx, s['K']).hex())\n")
+    src = str(Path(coskit.__file__).resolve().parents[1])
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1] != ""
 
 
 def test_carr_madan_fmls_reference_price():
@@ -197,6 +218,30 @@ def test_grid_inversion_takes_uniform_columns_only():
         density_on_grid(cf, np.geomspace(0.1, 2.0, 9))
 
 
+@pytest.mark.parametrize("model,L,panels", [
+    (FMLS(1.5597, 0.1486), 5.0, 1408), (Stable(1.2, 0.5, 0.7), 20.0, 1024)],
+    ids=["fmls", "stable"])
+def test_grid_inversion_equals_long_double_direct_sum(model, L, panels):
+    # on a grid the size of criterion 7's (12 Gauss-Legendre columns of up
+    # to 1408 panels), the chirp z-transform gives the Simpson sum itself:
+    # sampled rows match the direct sum with phases and sum in long double
+    cf = centralized_cf(model, CTX)
+    nodes, _ = roots_legendre(12)
+    h = 2.0 * L / panels
+    xs = -L + h * (np.arange(panels)[:, None] + 0.5 * (1.0 + nodes))
+    got = density_on_grid(cf, xs)
+    u, pv = reference._simpson_rule(cf, float(np.max(np.abs(xs))))
+    ul = u.astype(np.longdouble)
+    re, im = pv.real.astype(np.longdouble), pv.imag.astype(np.longdouble)
+    errs = []
+    for row in np.linspace(0, panels - 1, 12).astype(int):
+        for x, value in zip(xs[row], got[row]):
+            phase = np.longdouble(x) * ul
+            direct = np.sum(re * np.cos(phase) + im * np.sin(phase)) / np.pi
+            errs.append(abs(float(direct - np.longdouble(value))))
+    assert max(errs) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # cross-pricer agreement
 # ---------------------------------------------------------------------------
@@ -246,8 +291,7 @@ def test_two_pricers_agree_for_smooth_vg():
 def test_pricing_modules_import_no_oracles():
     # tuning, pricing and the certified bounds load neither the oracles nor
     # scipy.optimize (which scipy.integrate pulls in); the harness, which
-    # imports the oracles, still leaves out scipy.signal, which only
-    # density_on_grid needs
+    # imports the oracles, leaves out scipy.signal (0.7 s and 24 MB)
     import coskit
     code = ("import sys\n"
             "import coskit.tuning, coskit.cos_engine, coskit.bounds\n"
