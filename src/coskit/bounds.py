@@ -15,8 +15,8 @@ from typing import Sequence
 from scipy.special import gammaln
 
 from .errors import IntegralDiverged, NoClosedForm, NoSmoothness, QuadratureFailure
-from .models import (BS, FMLS, NIG, VG, Cauchy, CentralizedCF, MarketContext,
-                     ModelSpec, Stable, fmls_as_stable)
+from .models import (BS, NIG, VG, CentralizedCF, MarketContext, ModelSpec,
+                     stable_law)
 
 __all__ = [
     "HjSource", "DerivativeBound", "hj_closed_form", "series_order_cap",
@@ -48,44 +48,32 @@ class DerivativeBound:
     source: HjSource
 
 
-def _stable_log_bound(j: int, alpha: float, scale: float) -> float:
-    """log of Gamma((j+1)/alpha) / (pi * alpha * scale^(j+1))."""
-    return (gammaln((j + 1) / alpha) - math.log(math.pi * alpha)
-            - (j + 1) * math.log(scale))
-
-
 def hj_closed_form(model: ModelSpec, ctx: MarketContext, order: int) -> DerivativeBound:
     """Closed-form uniform bound on the order-th derivative of the density of
     the centralized log-return.
 
-    Stable family: Gamma((j+1)/alpha)/(pi alpha c^(j+1)), the integral
-    (1/pi) Int_0^inf u^j |phi(u)| du in closed form.  Its members are BS
-    (alpha = 2, c = sigma sqrt(T/2)), FMLS (beta = -1, through
-    `fmls_as_stable`), Stable itself and Cauchy (alpha = c = 1).  Symmetric
-    NIG: exp(T delta alpha) j! / (pi (T delta)^(j+1)).  VG has no closed form.
+    Stable family (BS, FMLS, Stable and Cauchy, each through its
+    `stable_law`): Gamma((j+1)/alpha)/(pi alpha c^(j+1)), the integral
+    (1/pi) Int_0^inf u^j |phi(u)| du in closed form, labelled
+    closed-form-gauss for BS.  Symmetric NIG:
+    exp(T delta alpha) j! / (pi (T delta)^(j+1)).  VG has no closed form.
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
-    T = ctx.T
-    if isinstance(model, FMLS):
-        model = fmls_as_stable(model, T)
-
-    src = HjSource.CLOSED_FORM_STABLE
     if isinstance(model, NIG):
-        dT = model.delta * T
+        dT = model.delta * ctx.T
         lv = (dT * model.alpha + gammaln(order + 1)
               - math.log(math.pi) - (order + 1) * math.log(dT))
         src = HjSource.CLOSED_FORM_NIG
-    elif isinstance(model, BS):
-        lv = _stable_log_bound(order, 2.0, model.sigma * math.sqrt(T / 2.0))
-        src = HjSource.CLOSED_FORM_GAUSS
-    elif isinstance(model, Stable):
-        lv = _stable_log_bound(order, model.alpha, model.scale)
-    elif isinstance(model, Cauchy):
-        lv = _stable_log_bound(order, 1.0, 1.0)
     else:
-        raise NoClosedForm(
-            f"no closed-form derivative bound for {type(model).__name__}")
+        law = stable_law(model, ctx.T)
+        if law is None:
+            raise NoClosedForm(
+                f"no closed-form derivative bound for {type(model).__name__}")
+        lv = (gammaln((order + 1) / law.alpha) - math.log(math.pi * law.alpha)
+              - (order + 1) * math.log(law.scale))
+        src = (HjSource.CLOSED_FORM_GAUSS if isinstance(model, BS)
+               else HjSource.CLOSED_FORM_STABLE)
 
     value = math.exp(lv) if lv < 709.0 else math.inf
     return DerivativeBound(order=order, value=value, log_value=lv, source=src)

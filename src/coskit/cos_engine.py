@@ -164,7 +164,8 @@ def payoff_coefficients(payoff: Payoff, ctx: MarketContext, mu: float,
                         M: float, L: float, N: int | range) -> np.ndarray:
     """Closed-form payoff coefficients v_k = Int_{-M}^{M} v(x) e_k(x) dx for
     k = 0..N (or the k of N when it is a range from 0), with v the
-    discounted payoff of the centralized log-return.
+    discounted payoff of the centralized log-return.  A call gets the
+    coefficients of the put of its strike, through which it is priced.
 
     When the payoff has no mass on [-M, M] (its upper limit is <= -M) the
     vector is zero; cos_price reports such a price as degenerate.
@@ -285,10 +286,9 @@ def cos_prices(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
     if _upper_limit(payoff, cf.mu) <= -M:
         prices = [0.0] * len(ns)
     else:
-        inner = Put(payoff.strike) if isinstance(payoff, Call) else payoff
         ks = _support(cf, L, n_max)
         terms = (cos_coefficients(cf, L, ks)
-                 * payoff_coefficients(inner, ctx, cf.mu, M, L, ks))
+                 * payoff_coefficients(payoff, ctx, cf.mu, M, L, ks))
         terms[0] *= 0.5
         prices = _prefix_sums(terms, [min(n, ks[-1]) // ks.step for n in ns])
 

@@ -56,6 +56,9 @@ _FIT_NOISE_FLOOR = 1e-12
 _FIT_N_MIN = 64
 # the least n_max_exp whose sweep N = 2^e has two points at N >= _FIT_N_MIN
 _MIN_N_MAX_EXP = math.ceil(math.log2(_FIT_N_MIN)) + 1
+# untimed rounds before the timed ones, and the longest series find_nmin tries
+_TIMING_WARMUP = 4
+_NMIN_CAP = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -89,17 +92,17 @@ class ExperimentConfig:
 # small utilities
 # ---------------------------------------------------------------------------
 
-def median_time_ms(fn, reps: int = 32, warmup: int = 4) -> float:
+def median_time_ms(fn, reps: int = 32) -> float:
     """Median wall time of fn() in milliseconds (monotonic clock)."""
-    return _median_times_ms([fn], reps, warmup)[0]
+    return _median_times_ms([fn], reps)[0]
 
 
-def _median_times_ms(fns, reps: int = 32, warmup: int = 4) -> list[float]:
+def _median_times_ms(fns, reps: int = 32) -> list[float]:
     """Median wall time in milliseconds of each callable, sampled in
     alternation (the order reversed on every other round) so that all of
     them see the same phases of host speed and a ratio of the medians
     compares like with like."""
-    for _ in range(warmup):
+    for _ in range(_TIMING_WARMUP):
         for fn in fns:
             fn()
     samples = [[] for _ in fns]
@@ -129,11 +132,11 @@ def fit_loglog_slope(ns, values, noise_floor: float = _FIT_NOISE_FLOOR,
 
 
 def find_nmin(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
-              L: float, M: float, reference: float, tol: float,
-              n_hi: int = 2 ** 24) -> int:
+              L: float, M: float, reference: float, tol: float) -> int:
     """Smallest series length keeping |COS - reference| <= tol, by doubling
-    then bisection.  Approximate when the error is not monotone in N: the
-    result satisfies the tolerance at N and at every larger probed N."""
+    then bisection, up to _NMIN_CAP.  Approximate when the error is not
+    monotone in N: the result satisfies the tolerance at N and at every
+    larger probed N."""
     if not math.isfinite(reference):
         raise ReferenceUnavailable("reference price is not finite")
 
@@ -146,9 +149,9 @@ def find_nmin(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
     n = 2
     while err(n) > tol:
         n *= 2
-        if n > n_hi:
+        if n > _NMIN_CAP:
             raise NotReachedWithinCap(
-                f"no N <= {n_hi} meets tolerance {tol}")
+                f"no N <= {_NMIN_CAP} meets tolerance {tol}")
     lo, hi = n // 2, n  # err(hi) <= tol < err(lo)
     while hi - lo > 1:
         mid = (lo + hi) // 2

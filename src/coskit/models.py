@@ -19,7 +19,7 @@ __all__ = [
     "BS", "NIG", "VG", "FMLS", "Stable", "Cauchy", "ModelSpec",
     "MarketContext", "CentralizedCF", "SemiHeavyTail", "HeavyTail",
     "TailProfile", "centralized_cf", "log_price_cf", "tail_profile",
-    "central_moment", "cumulants", "closed_form_density", "fmls_as_stable",
+    "central_moment", "cumulants", "closed_form_density", "stable_law",
     "pareto_amplitude",
 ]
 
@@ -138,10 +138,18 @@ class MarketContext:
             raise ModelParameterError(f"T must be > 0, got {self.T}")
 
 
-def fmls_as_stable(model: FMLS, T: float) -> Stable:
-    """Stable representation of the centralized FMLS log-return at horizon T."""
-    return Stable(alpha=model.alpha, beta=-1.0,
-                  scale=model.sigma * T ** (1.0 / model.alpha), loc=0.0)
+def stable_law(model: ModelSpec, T: float) -> Stable | None:
+    """The stable law of the centralized log-return at horizon T, with
+    |phi(u)| = exp(-(scale |u|)^alpha): BS (alpha = 2, scale sigma sqrt(T/2)),
+    FMLS (beta = -1, scale sigma T^(1/alpha)), Stable itself and Cauchy
+    (alpha = scale = 1).  None for NIG and VG, which are not stable."""
+    if isinstance(model, Stable):
+        return model
+    if isinstance(model, BS):
+        return Stable(2.0, 0.0, model.sigma * math.sqrt(T / 2.0))
+    if isinstance(model, FMLS):
+        return Stable(model.alpha, -1.0, model.sigma * T ** (1.0 / model.alpha))
+    return Stable(1.0, 0.0, 1.0) if isinstance(model, Cauchy) else None
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +167,8 @@ class CentralizedCF:
     Two facts about phi as numpy evaluates it on real arrays, which the COS
     engine reads to skip terms that are exactly zero: `real` says its
     imaginary part is exactly 0 (a symmetric density), and `zero_from` is a
-    frequency u0 with fl(phi(u)) exactly 0 for every |u| >= u0 (inf when no
-    such frequency is claimed).
+    frequency u0 with fl(phi(u)) exactly 0 for every |u| >= u0: read off
+    the envelope of the model's `stable_law`, inf for NIG and VG.
     """
     phi: Callable[[np.ndarray], np.ndarray]
     mu: float
@@ -185,31 +193,34 @@ def _complex_arg(u):
     return np.asarray(u, dtype=complex)
 
 
-# exp(x) rounds to exactly 0 for x below -745.14.  A model's zero_from is
-# where the exact exponent of its |phi| envelope reaches -_CUT_EXPONENT.  If
-# phi computes that exponent to within a relative error rel, there and at
-# every larger |u|, it stays below -745.14 as long as _CUT_EXPONENT (1 - rel)
-# exceeds _UNDERFLOW_MARGIN.  _REL_ROUNDING covers a few roundings and
-# libm's exp, log and pow.
+# exp(x) rounds to exactly 0 for x below -745.14.  A stable law's zero_from
+# is where the exact exponent (scale |u|)^alpha of its |phi| envelope
+# reaches _CUT_EXPONENT.  If phi computes that exponent to within a relative
+# error rel, there and at every larger |u|, it stays below -745.14 as long
+# as _CUT_EXPONENT (1 - rel) exceeds _UNDERFLOW_MARGIN.  _REL_ROUNDING
+# covers a few roundings and libm's exp, log and pow.
 _CUT_EXPONENT = 750.0
 _UNDERFLOW_MARGIN = 745.2
 _REL_ROUNDING = 2.0 ** -40
+_TINY = 2.0 ** -1022  # the least normal float
 
 
-def _zero_from(root: Callable[[], float], rel: float) -> float:
-    """The frequency root() where a model's |phi| envelope reaches
-    exp(-_CUT_EXPONENT), or inf where the rounding of phi's exponent is not
-    bounded inside the underflow margin or the root overflows."""
+def _zero_from(alpha: float, scale: float, rel: float) -> float:
+    """The frequency _CUT_EXPONENT^(1/alpha) / scale where a stable law's
+    |phi| envelope reaches exp(-_CUT_EXPONENT), or inf where the rounding of
+    phi's exponent is not bounded inside the underflow margin or the
+    frequency overflows."""
     if _CUT_EXPONENT * (1.0 - rel) <= _UNDERFLOW_MARGIN:
         return math.inf
     try:
-        return root()
+        return _CUT_EXPONENT ** (1.0 / alpha) / scale
     except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
-def _stable_cf(alpha: float, beta: float, scale: float, loc: float):
-    """CF of a stable law in the standard parameterization (real arguments)."""
+def _stable_cf(alpha: float, beta: float, scale: float):
+    """CF of a centred stable law in the standard parameterization (real
+    arguments)."""
     tan_term = math.tan(math.pi * alpha / 2.0) if alpha != 1.0 else 0.0
 
     def phi(u):
@@ -218,10 +229,10 @@ def _stable_cf(alpha: float, beta: float, scale: float, loc: float):
         if alpha == 1.0 and beta != 0.0:
             with np.errstate(divide="ignore", invalid="ignore"):
                 skew = beta * np.sign(u) * (-2.0 / math.pi) * np.log(np.abs(u))
-                expo = 1j * u * loc - au ** alpha * (1.0 - 1j * skew)
+                expo = -au ** alpha * (1.0 - 1j * skew)
             return np.where(u == 0.0, 1.0 + 0.0j, np.exp(expo))
         skew = beta * np.sign(u) * tan_term
-        return np.exp(1j * u * loc - au ** alpha * (1.0 - 1j * skew))
+        return np.exp(-au ** alpha * (1.0 - 1j * skew))
 
     return phi
 
@@ -251,9 +262,12 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
             return np.exp(-0.5 * var * u * u)
 
         mu = math.log(ctx.S0) + (ctx.r - 0.5 * model.sigma ** 2) * T
-        # |phi| = exp(-var u^2 / 2)
-        zero = _zero_from(lambda: math.sqrt(2.0 * _CUT_EXPONENT / var),
-                          _REL_ROUNDING)
+        # the stable scale sigma sqrt(T/2) matches the var that phi uses to
+        # a few ulps only while sigma^2, T/2 and var are finite normal floats
+        zero = math.inf
+        if _TINY <= min(model.sigma ** 2, T / 2.0, var) and var < math.inf:
+            law = stable_law(model, T)
+            zero = _zero_from(law.alpha, law.scale, _REL_ROUNDING)
         return CentralizedCF(phi, mu, model, T, real=True, zero_from=zero)
 
     if isinstance(model, NIG):
@@ -268,14 +282,7 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
 
         w = -d * (a - math.sqrt(a * a - 1.0))
         mu = math.log(ctx.S0) + (ctx.r + w) * T
-        # |phi| = exp(dT (a - sqrt(a^2 + u^2))); the rounding of sqrt(a^2 +
-        # u^2) costs up to a few ulps of dT a in the exponent, relative to
-        # its 750 at the cut
-        zero = _zero_from(
-            lambda: math.sqrt((2.0 * a + _CUT_EXPONENT / (d * T))
-                              * _CUT_EXPONENT / (d * T)),
-            rel=_REL_ROUNDING * (1.0 + d * T * a))
-        return CentralizedCF(phi, mu, model, T, real=True, zero_from=zero)
+        return CentralizedCF(phi, mu, model, T, real=True, zero_from=math.inf)
 
     if isinstance(model, VG):
         s, nu, th = model.sigma, model.nu, model.theta
@@ -292,16 +299,8 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
             return base ** (-T / nu) * np.exp(-1j * u * th * T)
 
         mu = math.log(ctx.S0) + (ctx.r + w) * T + th * T
-        # |phi| <= (1 + s^2 nu u^2 / 2)^(-T/nu).  numpy raises to an
-        # integer power by repeated products, which overflow into nan
-        # before they could underflow to 0, so an integer T/nu has no cut
-        zero = math.inf
-        if not (T / nu).is_integer():
-            zero = _zero_from(lambda: math.sqrt(
-                2.0 * math.expm1(_CUT_EXPONENT * nu / T) / (s * s * nu)),
-                _REL_ROUNDING)
         return CentralizedCF(phi, mu, model, T, real=(th == 0.0),
-                             zero_from=zero)
+                             zero_from=math.inf)
 
     if isinstance(model, FMLS):
         a = model.alpha
@@ -318,28 +317,28 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         mu = math.log(ctx.S0) + ctx.r * T + _fmls_log_moment_shift(model, T) * T
         # |phi| = exp(-(c u)^a) exactly, but the computed exponent is sec
         # times a cos(pi a / 2) that (i u)^a rounds apart: a few ulps of
-        # pi/2 over |cos(pi a / 2)|, which no margin covers as a nears 1
-        zero = _zero_from(
-            lambda: _CUT_EXPONENT ** (1.0 / a) / c,
-            rel=_REL_ROUNDING + 2.0 ** -48 * abs(sec))
+        # pi/2 over |cos(pi a / 2)|, which no margin covers as a nears 1.
+        # c is the scale of its stable_law
+        zero = _zero_from(a, c, rel=_REL_ROUNDING + 2.0 ** -48 * abs(sec))
         return CentralizedCF(phi, mu, model, T, real=False, zero_from=zero)
 
     if isinstance(model, Stable):
-        a, c = model.alpha, model.scale
-        phi = _stable_cf(a, model.beta, c, 0.0)
+        phi = _stable_cf(model.alpha, model.beta, model.scale)
         # the real part of the exponent is -(c |u|)^a, computed directly
         # whatever beta is
-        zero = _zero_from(lambda: _CUT_EXPONENT ** (1.0 / a) / c, _REL_ROUNDING)
         return CentralizedCF(phi, model.loc, model, T, real=(model.beta == 0.0),
-                             zero_from=zero)
+                             zero_from=_zero_from(model.alpha, model.scale,
+                                                  _REL_ROUNDING))
 
     if isinstance(model, Cauchy):
         def phi(u):
             u = np.asarray(u, dtype=float)
             return np.exp(-np.abs(u)) + 0.0j
 
+        law = stable_law(model, T)
         return CentralizedCF(phi, 0.0, model, T, real=True,
-                             zero_from=_CUT_EXPONENT)
+                             zero_from=_zero_from(law.alpha, law.scale,
+                                                  _REL_ROUNDING))
 
     raise ModelParameterError(f"unsupported model {model!r}")
 
@@ -425,6 +424,8 @@ def tail_profile(model: ModelSpec, ctx: MarketContext) -> TailProfile:
 
     if isinstance(model, BS):
         s2 = model.sigma ** 2 * T
+        if s2 == 0.0:
+            raise ModelParameterError(f"BS variance sigma^2 T = {s2} underflows")
         onset = 6.0 * math.sqrt(s2)
         rate = onset / s2  # log-slope of the Gaussian at the onset
         dens = closed_form_density(model, ctx)
@@ -442,7 +443,11 @@ def tail_profile(model: ModelSpec, ctx: MarketContext) -> TailProfile:
 
     if isinstance(model, VG):
         s, nu, th = model.sigma, model.nu, model.theta
+        if s ** 4 == 0.0 or s * s * nu == 0.0:
+            raise ModelParameterError("VG sigma^4 or sigma^2 nu underflows")
         lam = math.sqrt(th * th / s ** 4 + 2.0 / (s * s * nu)) - abs(th) / (s * s)
+        if not lam > 0.0:
+            raise ModelParameterError(f"VG tail decay rate rounds to {lam}")
         rate = 0.9 * lam  # strict slack absorbs the polynomial tail factor
         var = (s * s + nu * th * th) * T
         onset = 6.0 * math.sqrt(var)
@@ -451,7 +456,7 @@ def tail_profile(model: ModelSpec, ctx: MarketContext) -> TailProfile:
         return _semiheavy_from_grid(dens, rate, onset, x_hi, two_sided=(th != 0.0))
 
     if isinstance(model, FMLS):
-        model = fmls_as_stable(model, T)
+        model = stable_law(model, T)
 
     if isinstance(model, Stable):
         # FMLS's left tail approaches its asymptote from below once |x| is a
@@ -472,6 +477,8 @@ def tail_profile(model: ModelSpec, ctx: MarketContext) -> TailProfile:
 # ---------------------------------------------------------------------------
 
 _MAX_MOMENT_ORDER = 8
+# samples of log(phi) on log_cf_cumulants' circle
+_CUMULANT_POINTS = 64
 
 
 def cumulants(model: ModelSpec, ctx: MarketContext) -> dict:
@@ -503,17 +510,17 @@ def cumulants(model: ModelSpec, ctx: MarketContext) -> dict:
     raise MomentDoesNotExist(f"no cumulant table for {model!r}")
 
 
-def log_cf_cumulants(log_phi, radius: float, n_points: int = 64) -> dict:
+def log_cf_cumulants(log_phi, radius: float) -> dict:
     """Cumulants up to order 8 from samples of log(phi) on a complex circle.
 
     Trapezoidal Fourier extraction of the Taylor coefficients around zero;
     exponentially accurate when log(phi) is analytic on the closed disc of
     the given radius (choose it safely inside the nearest singularity).
     """
-    angles = 2.0 * math.pi * np.arange(n_points) / n_points
+    angles = 2.0 * math.pi * np.arange(_CUMULANT_POINTS) / _CUMULANT_POINTS
     z = radius * np.exp(1j * angles)
     vals = np.asarray(log_phi(z), dtype=complex)
-    coef = np.fft.fft(vals) / n_points  # coef[m] = c_m * radius^m
+    coef = np.fft.fft(vals) / _CUMULANT_POINTS  # coef[m] = c_m * radius^m
     out = {}
     for m in range(2, _MAX_MOMENT_ORDER + 1):
         km = coef[m] / radius ** m * math.factorial(m) / (1j ** m)

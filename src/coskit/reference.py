@@ -143,12 +143,11 @@ def _inversion_point(phi, x: float, j: int = 0,
     return total / math.pi, err / math.pi
 
 
-def derivative_by_inversion(cf: CentralizedCF, j: int, xs,
-                            epsabs: float = 1e-12):
+def derivative_by_inversion(cf: CentralizedCF, j: int, xs):
     """j-th derivative of the density on a grid, by Fourier inversion."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     try:
-        return np.array([_inversion_point(cf.phi, float(x), j, epsabs)[0]
+        return np.array([_inversion_point(cf.phi, float(x), j)[0]
                          for x in xs])
     except Exception as exc:  # pragma: no cover
         raise QuadratureFailure(f"derivative inversion failed: {exc}") from exc

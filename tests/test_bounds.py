@@ -11,7 +11,7 @@ from scipy.special import gammaln
 
 from coskit.bounds import (HjSource, bl_bound_heavy, bl_bound_semiheavy,
                            hj_closed_form, hj_numeric, series_truncation_bound)
-from coskit.errors import IntegralDiverged, NoClosedForm
+from coskit.errors import IntegralDiverged, ModelParameterError, NoClosedForm
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext, Stable,
                            centralized_cf, closed_form_density, tail_profile)
 from coskit.reference import (bl_bruteforce, gauss_tail_cos_integrals,
@@ -29,6 +29,14 @@ def test_cauchy_peak_is_exact_bound():
     b = hj_closed_form(Cauchy(), CTX, 0)
     assert b.value == pytest.approx(1.0 / math.pi, rel=1e-14)
     assert b.source is HjSource.CLOSED_FORM_STABLE
+
+
+@pytest.mark.parametrize("sigma,T", [(0.2, 5e-324), (1e200, 1e300)],
+                         ids=["scale-0", "scale-inf"])
+def test_gauss_bound_refuses_a_stable_scale_out_of_range(sigma, T):
+    # sigma sqrt(T/2) rounds to 0 or overflows: no Stable law has that scale
+    with pytest.raises(ModelParameterError):
+        hj_closed_form(BS(sigma), MarketContext(100.0, 0.0, T), 1)
 
 
 def test_gauss_bound_matches_density_peak():
@@ -177,9 +185,9 @@ def test_density_sup_inverts_few_points_at_full_accuracy(monkeypatch):
     inverted = []
     full = reference.derivative_by_inversion
 
-    def counted(cf, j, xs, epsabs=1e-12):
+    def counted(cf, j, xs):
         inverted.extend(np.atleast_1d(xs))
-        return full(cf, j, xs, epsabs)
+        return full(cf, j, xs)
 
     monkeypatch.setattr(reference, "derivative_by_inversion", counted)
     cf, order = _sup_case("vg_study_j1")

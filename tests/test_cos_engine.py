@@ -130,6 +130,16 @@ def test_put_first_coefficient_closed_form():
     assert v[0] == pytest.approx(expect, rel=1e-14)
 
 
+@pytest.mark.parametrize("K", [60.0, 100.0, 140.0, math.exp(CF_BS.mu - 1.0)])
+def test_call_coefficients_are_its_puts_bitwise(K):
+    # a call is priced through the put of its strike: one set of
+    # coefficients serves both, degenerate strikes included
+    for ks in (300, range(0, 301, 2)):
+        call = payoff_coefficients(Call(K), CTX, CF_BS.mu, 1.2, 1.7, ks)
+        put = payoff_coefficients(Put(K), CTX, CF_BS.mu, 1.2, 1.7, ks)
+        assert [x.hex() for x in call] == [x.hex() for x in put]
+
+
 def test_degenerate_payoffs_are_zero_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -193,17 +203,21 @@ def test_prefix_prices_equal_single_prices_bitwise(model, payoff):
         assert cos_price(cf, payoff, CTX, CosParameters(M, L, n)).price == want
 
 
-# L puts each model's cut at about half of N_CUT_TEST; a real phi also drops
-# every odd k
+# L puts each model's cut at about half of N_CUT_TEST, and models with no
+# cut (NIG, VG, and scales that underflow) take L = _NO_CUT_L; a real phi
+# also drops every odd k
 N_CUT_TEST = 600
+_NO_CUT_L = 8.0
 _CUT_CASES = [(BS(0.2), 1.0), (NIG(2.0, 0.2), 1.0), (VG(0.3, 0.0047), 1.3),
               (VG(0.3, 0.0047, -0.1), 1.3), (FMLS(1.5597, 0.1486), 1.0),
               (Stable(1.5, 0.0, 0.8), 1.0), (Stable(1.3, 0.5, 0.6), 1.0),
-              (Cauchy(), 1.0)]
+              (Cauchy(), 1.0), (BS(5e-324), 1.0), (BS(1e-170), 1e-160),
+              (BS(0.2), 5e-324), (FMLS(1.5, 5e-324), 1.0)]
 
 
 @pytest.mark.parametrize("model,T", _CUT_CASES, ids=[
-    "bs", "nig", "vg", "vg-drift", "fmls", "stable", "stable-skew", "cauchy"])
+    "bs", "nig", "vg", "vg-drift", "fmls", "stable", "stable-skew", "cauchy",
+    "bs-sigma-0", "bs-var-0", "bs-T-half-0", "fmls-scale-subnormal"])
 @pytest.mark.parametrize("payoff", [Put(100.0), Call(97.0), DigitalBelow(0.02)],
                          ids=["put", "call", "digital"])
 def test_support_prices_equal_full_vector_fsums(model, T, payoff):
@@ -211,10 +225,12 @@ def test_support_prices_equal_full_vector_fsums(model, T, payoff):
     # sign) of math.fsum over the full term vector of that prefix
     ctx = MarketContext(100.0, 0.01, T)
     cf = centralized_cf(model, ctx)
-    L = math.pi * (N_CUT_TEST / 2) / (2.0 * cf.zero_from)
+    cut = math.isfinite(cf.zero_from)
+    L = math.pi * (N_CUT_TEST / 2) / (2.0 * cf.zero_from) if cut else _NO_CUT_L
     M = 0.8 * L
     ks = cos_engine._support(cf, L, N_CUT_TEST)
-    assert ks[-1] < 0.6 * N_CUT_TEST and ks.step == (2 if cf.real else 1)
+    assert (ks[-1] < 0.6 * N_CUT_TEST) == cut
+    assert ks.step == (2 if cf.real else 1)
 
     inner = Put(payoff.strike) if isinstance(payoff, Call) else payoff
     c = cos_coefficients(cf, L, N_CUT_TEST)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coskit import harness
 from coskit.cos_engine import Call, CosParameters, DigitalBelow, Put, cos_price
 from coskit.errors import NotReachedWithinCap
 from coskit.harness import (EXPERIMENT_IDS, ExperimentConfig, cli_main,
@@ -42,10 +43,11 @@ def test_nmin_satisfies_tolerance_at_result():
         assert err_below > tol
 
 
-def test_nmin_cap_raises():
+def test_nmin_cap_raises(monkeypatch):
+    monkeypatch.setattr(harness, "_NMIN_CAP", 64)
     ref = black_scholes_put(CTX, 0.2, 100.0)
     with pytest.raises(NotReachedWithinCap):
-        find_nmin(CF_BS, Put(100.0), CTX, 0.9, 0.9, ref, 1e-13, n_hi=64)
+        find_nmin(CF_BS, Put(100.0), CTX, 0.9, 0.9, ref, 1e-13)
 
 
 def test_nmin_for_reference_table_setup():
@@ -86,7 +88,7 @@ def test_slope_stable_under_dropping_smallest_point():
 
 
 def test_timing_helper_positive():
-    t = median_time_ms(lambda: sum(range(100)), reps=8, warmup=2)
+    t = median_time_ms(lambda: sum(range(100)), reps=8)
     assert t >= 0.0
 
 
@@ -254,6 +256,14 @@ def test_cli_exit_codes(capsys):
     # a sweep too short to fit
     assert cli_main(["experiment", "--id", "l_optimal",
                      "--n-max-exp", "3"]) == 2
+    # a variance or tail rate that underflows to 0
+    for args in (["--sigma", "5e-324"], ["--sigma", "1e-162"],
+                 ["--sigma", "0.2", "--T", "5e-324"]):
+        assert cli_main(["tune", "--model", "bs", "--eps", "1e-8"] + args) == 2
+    assert cli_main(["tune", "--model", "vg", "--sigma", "1e-150", "--nu",
+                     "0.2", "--T", "1.5", "--eps", "1e-8"]) == 2
+    assert cli_main(["tune", "--model", "vg", "--sigma", "1e-10", "--nu", "1",
+                     "--theta", "0.3", "--eps", "1e-8"]) == 2
     capsys.readouterr()
 
 

@@ -11,7 +11,7 @@ from coskit.errors import ModelParameterError, MomentDoesNotExist
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, HeavyTail,
                            MarketContext, SemiHeavyTail, central_moment,
                            centralized_cf, closed_form_density,
-                           fmls_as_stable, tail_profile)
+                           stable_law, tail_profile)
 from coskit.models import Stable
 from coskit.reference import derivative_by_inversion
 
@@ -71,12 +71,15 @@ def test_market_context_must_be_finite(field, bad):
         dataclasses.replace(CTX, **{field: bad})
 
 
-def test_fmls_as_stable_exact_fields():
-    st = fmls_as_stable(FMLS(1.5597, 0.1486), T=1.0)
-    assert st.alpha == 1.5597
-    assert st.beta == -1.0
-    assert st.scale == 0.1486 * 1.0 ** (1 / 1.5597)
-    assert st.loc == 0.0
+def test_stable_law_exact_fields():
+    assert stable_law(BS(0.2), 0.7) == Stable(2.0, 0.0, 0.2 * math.sqrt(0.35))
+    assert stable_law(FMLS(1.5597, 0.1486), 2.0) == Stable(
+        1.5597, -1.0, 0.1486 * 2.0 ** (1 / 1.5597))
+    skewed = Stable(1.3, 0.5, 0.6, loc=0.1)
+    assert stable_law(skewed, 3.0) is skewed
+    assert stable_law(Cauchy(), 3.0) == Stable(1.0, 0.0, 1.0)
+    assert stable_law(NIG(1.2, 0.8), 1.0) is None
+    assert stable_law(VG(0.1, 0.2), 1.0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +114,7 @@ def test_fmls_cf_modulus():
 def test_fmls_equals_stable_representation():
     m = FMLS(1.5597, 0.1486)
     cf_f = centralized_cf(m, CTX)
-    cf_s = centralized_cf(fmls_as_stable(m, CTX.T), CTX)
+    cf_s = centralized_cf(stable_law(m, CTX.T), CTX)
     u = np.linspace(-80, 80, 257)
     assert np.max(np.abs(cf_f.phi(u) - cf_s.phi(u))) < 1e-12
 
@@ -260,19 +263,36 @@ def test_phi_is_exactly_zero_from_its_cut_on(case, k_cut, beyond):
 
 
 def test_cut_frequencies_of_the_reference_models():
-    # u0 where the |phi| envelope reaches exp(-750); none where rounding
-    # cannot be bounded (alpha next to 1) or numpy's integer powers overflow
+    # u0 where the stable law's |phi| envelope reaches exp(-750); none where
+    # rounding cannot be bounded (alpha next to 1), and none for NIG and VG
     def u0(model, T=1.0):
         return centralized_cf(model, MarketContext(100.0, 0.0, T)).zero_from
 
     assert u0(BS(0.2)) == pytest.approx(math.sqrt(1500.0) / 0.2)
     assert u0(Cauchy()) == 750.0
     assert u0(Stable(1.5, 0.3, 0.8)) == pytest.approx(750.0 ** (1 / 1.5) / 0.8)
+    assert math.isinf(u0(Stable(0.005, 0.0, 1.0)))  # 750^200 overflows
     assert u0(FMLS(1.5, 0.2), 4.0) == pytest.approx(
         750.0 ** (1 / 1.5) / (0.2 * 4.0 ** (1 / 1.5)))
     assert math.isinf(u0(FMLS(1.0 + 1e-14, 0.2)))
-    assert math.isfinite(u0(VG(0.12, 0.2), 1.1))
+    assert math.isinf(u0(NIG(2.0, 0.2)))
+    assert math.isinf(u0(VG(0.12, 0.2), 1.1))
     assert math.isinf(u0(VG(0.12, 0.2), 1.0))
+
+
+@pytest.mark.parametrize("model,T", [
+    (BS(5e-324), 1.0), (BS(1e-170), 1e-160), (BS(0.2), 5e-324),
+    (BS(2.3e-162), 1e300), (BS(1e150), 1.5e-323),
+    (BS(1e100), 1e200), (FMLS(1.5, 5e-324), 1.0), (FMLS(1.5, 5e-324), 0.1)],
+    ids=["sigma-0", "var-0", "T-half-0", "sigma2-subnormal", "T-half-subnormal",
+         "var-inf", "fmls-subnormal", "fmls-scale-0"])
+def test_out_of_range_scales_claim_no_cut(model, T):
+    # sigma^2, T/2 or var outside the finite normal range: the stable scale
+    # sigma sqrt(T/2) no longer matches phi's var to a few ulps, or is 0,
+    # so there is no cut (and no Stable with scale 0 is built); a subnormal
+    # FMLS scale puts its cut past the largest float, a zero one nowhere
+    cf = centralized_cf(model, MarketContext(100.0, 0.0, T))
+    assert math.isinf(cf.zero_from)
 
 
 def test_martingale_property_by_quadrature():
