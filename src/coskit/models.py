@@ -7,6 +7,7 @@ symmetry.  Pricing code only ever sees (phi, mu) with mu = E[log(S_T)].
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Union
 
@@ -37,6 +38,15 @@ def _require_finite(params) -> None:
                 f"{type(params).__name__} {f.name} must be finite, got {value}")
 
 
+def _finite_power(value: float, exponent: float, what: str) -> float:
+    """value ** exponent, or a ModelParameterError naming what overflows."""
+    try:
+        return value ** exponent
+    except OverflowError:
+        raise ModelParameterError(
+            f"{what} = {value}^{exponent:g} overflows") from None
+
+
 @dataclass(frozen=True)
 class BS:
     """Black-Scholes: lognormal stock with volatility sigma (per sqrt-year)."""
@@ -46,6 +56,7 @@ class BS:
         _require_finite(self)
         if not self.sigma > 0:
             raise ModelParameterError(f"BS sigma must be > 0, got {self.sigma}")
+        _finite_power(self.sigma, 2, "BS sigma^2")
 
 
 @dataclass(frozen=True)
@@ -94,6 +105,7 @@ class FMLS:
             raise ModelParameterError(f"FMLS alpha must be in (1, 2), got {self.alpha}")
         if not self.sigma > 0:
             raise ModelParameterError(f"FMLS sigma must be > 0, got {self.sigma}")
+        _finite_power(self.sigma, self.alpha, "FMLS sigma^alpha")
 
 
 @dataclass(frozen=True)
@@ -179,17 +191,20 @@ class CentralizedCF:
 
 
 _REAL_SCALARS = (float, int, np.floating, np.integer)
+# x + (-0 + 0i) is x + 0i for every real x, -0 included
+_COMPLEX_ZERO = np.complex128(-0.0)
 
 
 def _complex_arg(u):
     """phi's argument as complex: a real scalar (what QUADPACK passes, one
     point at a time) becomes an np.complex128, so phi runs as NumPy scalar
     math instead of paying ufunc dispatch on a 0-d array; every product
-    with x + 0i is exact, so the value is the same bit for bit.  Arrays
-    and complex scalars (a general complex product may round differently
-    in scalar math) take the array path."""
+    with x + 0i is exact, so the value is the same bit for bit.  The sum
+    with a complex zero makes the scalar faster than the np.complex128
+    constructor does.  Arrays and complex scalars (a general complex
+    product may round differently in scalar math) take the array path."""
     if isinstance(u, _REAL_SCALARS):
-        return np.complex128(u)
+        return u + _COMPLEX_ZERO
     return np.asarray(u, dtype=complex)
 
 
@@ -216,6 +231,34 @@ def _zero_from(alpha: float, scale: float, rel: float) -> float:
         return _CUT_EXPONENT ** (1.0 / alpha) / scale
     except (OverflowError, ZeroDivisionError):
         return math.inf
+
+
+def _strip_phi_underflows(law: Stable, gamma: float, u: float) -> bool:
+    """Whether fl(phi(u - i gamma)) is exactly 0 for the BS or FMLS phi of
+    `centralized_cf` with this `stable_law`, gamma > 0 and u >= 0.
+
+    With gamma + iu = rho e^(i theta) and c the law's scale,
+        Re log phi(u - i gamma) = -c^a sec(pi a/2) rho^a cos(a theta),
+    which is -c^2 (u^2 - gamma^2) for BS and decreases in u for every a in
+    (1, 2].  phi computes it to within a relative error
+    _REL_ROUNDING + 2^-48 / |cos(a theta)|: the real-axis margin, where
+    |cos(a theta)| = |cos(pi a/2)|, which at a = 2 also covers the
+    cancellation in u^2 - gamma^2.  Past its sign change the exponent and
+    |cos(a theta)| both grow with u, so where this holds it holds at every
+    larger u.  Valid only where the real-axis cut is (zero_from finite).
+    """
+    a = law.alpha
+    cos = math.cos(a * math.atan2(u, gamma))
+    if cos >= 0.0:
+        return False
+    if _CUT_EXPONENT * (1.0 - _REL_ROUNDING - 2.0 ** -48 / -cos) \
+            <= _UNDERFLOW_MARGIN:
+        return False
+    # -exponent = (c rho)^a cos(a theta) / cos(pi a/2), compared in logs,
+    # where rho^a may overflow
+    return (a * math.log(law.scale * math.hypot(gamma, u))
+            + math.log(cos / math.cos(math.pi * a / 2.0))
+            >= math.log(_CUT_EXPONENT))
 
 
 def _stable_cf(alpha: float, beta: float, scale: float):
@@ -254,12 +297,15 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
     """
     T = ctx.T
 
+    # each phi computes its constant factors once, as the left operands they
+    # were in -0.5 var u u and the like, so every value keeps its bits
     if isinstance(model, BS):
         var = model.sigma ** 2 * T
+        half_var = -0.5 * var
 
         def phi(u):
             u = _complex_arg(u)
-            return np.exp(-0.5 * var * u * u)
+            return np.exp(half_var * u * u)
 
         mu = math.log(ctx.S0) + (ctx.r - 0.5 * model.sigma ** 2) * T
         # the stable scale sigma sqrt(T/2) matches the var that phi uses to
@@ -276,9 +322,11 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
             raise ModelParameterError(
                 "NIG stock model needs alpha >= 1 for the martingale correction")
 
+        dT, a2 = d * T, a * a
+
         def phi(u):
             u = _complex_arg(u)
-            return np.exp(d * T * (a - np.sqrt(a * a + u * u)))
+            return np.exp(dT * (a - np.sqrt(a2 + u * u)))
 
         w = -d * (a - math.sqrt(a * a - 1.0))
         mu = math.log(ctx.S0) + (ctx.r + w) * T
@@ -293,10 +341,12 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
                 f"(1 - theta*nu - sigma^2*nu/2 = {mgf_arg} <= 0)")
         w = math.log(mgf_arg) / nu
 
+        drift, curv, power = 1j * th * nu, 0.5 * s * s * nu, -T / nu
+
         def phi(u):
             u = _complex_arg(u)
-            base = 1.0 - 1j * th * nu * u + 0.5 * s * s * nu * u * u
-            return base ** (-T / nu) * np.exp(-1j * u * th * T)
+            base = 1.0 - drift * u + curv * u * u
+            return base ** power * np.exp(-1j * u * th * T)
 
         mu = math.log(ctx.S0) + (ctx.r + w) * T + th * T
         return CentralizedCF(phi, mu, model, T, real=(th == 0.0),
@@ -306,20 +356,25 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         a = model.alpha
         c = model.sigma * T ** (1.0 / a)
         sec = 1.0 / math.cos(math.pi * a / 2.0)
+        c_a = _finite_power(c, a, "FMLS scale^alpha")
+        coef = -c_a * sec
 
         def phi(u):
             # exp(-c^alpha * sec(pi a/2) * (i u)^alpha), principal branch;
             # equals the stable CF with beta = -1 on the real axis and extends
             # analytically to Im(u) <= 0.
             u = _complex_arg(u)
-            return np.exp(-(c ** a) * sec * (1j * u) ** a)
+            return np.exp(coef * (1j * u) ** a)
 
         mu = math.log(ctx.S0) + ctx.r * T + _fmls_log_moment_shift(model, T) * T
         # |phi| = exp(-(c u)^a) exactly, but the computed exponent is sec
         # times a cos(pi a / 2) that (i u)^a rounds apart: a few ulps of
         # pi/2 over |cos(pi a / 2)|, which no margin covers as a nears 1.
-        # c is the scale of its stable_law
-        zero = _zero_from(a, c, rel=_REL_ROUNDING + 2.0 ** -48 * abs(sec))
+        # c is the scale of its stable_law.  Past the cut |(i u)^a| is at
+        # least 750 / c^a, and phi is NaN, not 0, once that overflows
+        zero = math.inf
+        if c_a * sys.float_info.max > _CUT_EXPONENT:
+            zero = _zero_from(a, c, rel=_REL_ROUNDING + 2.0 ** -48 * abs(sec))
         return CentralizedCF(phi, mu, model, T, real=False, zero_from=zero)
 
     if isinstance(model, Stable):
@@ -392,7 +447,8 @@ def pareto_amplitude(alpha: float, beta: float, scale: float) -> float:
         c_alpha = 2.0 / math.pi
     else:
         c_alpha = (1.0 - alpha) / (_gamma_fn(2.0 - alpha) * math.cos(math.pi * alpha / 2.0))
-    return alpha * c_alpha * 0.5 * (1.0 + abs(beta)) * scale ** alpha
+    return (alpha * c_alpha * 0.5 * (1.0 + abs(beta))
+            * _finite_power(scale, alpha, "stable scale^alpha"))
 
 
 def _semiheavy_from_grid(density, rate: float, onset: float, x_hi: float,
@@ -434,7 +490,11 @@ def tail_profile(model: ModelSpec, ctx: MarketContext) -> TailProfile:
         return SemiHeavyTail(amplitude=float(amp), rate=rate, onset=onset)
 
     if isinstance(model, NIG):
-        onset = 6.0 * math.sqrt(model.delta * T / model.alpha)
+        var = model.delta * T / model.alpha
+        if var == 0.0:
+            raise ModelParameterError(f"NIG variance delta T / alpha = {var} "
+                                      "underflows")
+        onset = 6.0 * math.sqrt(var)
         dens = closed_form_density(model, ctx)
         # asymptotic decay rate is exactly alpha; the x^(-3/2) factor decays,
         # so the supremum of f(x)exp(alpha x) is attained on a compact set
@@ -450,6 +510,9 @@ def tail_profile(model: ModelSpec, ctx: MarketContext) -> TailProfile:
             raise ModelParameterError(f"VG tail decay rate rounds to {lam}")
         rate = 0.9 * lam  # strict slack absorbs the polynomial tail factor
         var = (s * s + nu * th * th) * T
+        if var == 0.0:
+            raise ModelParameterError(
+                f"VG variance (sigma^2 + nu theta^2) T = {var} underflows")
         onset = 6.0 * math.sqrt(var)
         dens = closed_form_density(model, ctx)
         x_hi = max(40.0 * onset, 3.0 * max(T / nu - 1.0, 0.0) / (lam - rate))
@@ -554,11 +617,16 @@ def central_moment(model: ModelSpec, ctx: MarketContext, n: int) -> float:
             f"{type(model).__name__} has no finite moment of order {n}")
     if isinstance(model, BS):
         var = model.sigma ** 2 * ctx.T
-        return float(math.prod(range(1, n, 2)) * var ** (n // 2))
-    if n > _MAX_MOMENT_ORDER:
+        moment = float(math.prod(range(1, n, 2)) * var ** (n // 2))
+    elif n > _MAX_MOMENT_ORDER:
         raise ValueError(f"moment order capped at {_MAX_MOMENT_ORDER} for "
                          f"{type(model).__name__}")
-    return _central_moments_from_cumulants(cumulants(model, ctx))[n]
+    else:
+        moment = _central_moments_from_cumulants(cumulants(model, ctx))[n]
+    if moment == 0.0:
+        raise ModelParameterError(f"{type(model).__name__} central moment of "
+                                  f"order {n} underflows to 0")
+    return moment
 
 
 # ---------------------------------------------------------------------------

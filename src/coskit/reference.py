@@ -11,6 +11,7 @@ partial sum built on them.  Only the tail integrals read the engine: they
 are L (c_k - a_k), with c_k from the characteristic function.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,8 @@ from .bounds import DerivativeBound, HjSource
 from .cos_engine import cos_coefficients
 from .errors import DampingInadmissible, QuadratureFailure
 from .models import (BS, FMLS, NIG, VG, CentralizedCF, MarketContext,
-                     ModelSpec, Stable, log_price_cf)
+                     ModelSpec, _strip_phi_underflows, log_price_cf,
+                     stable_law)
 
 __all__ = [
     "CarrMadanConfig", "carr_madan_call", "black_scholes_put",
@@ -431,7 +433,10 @@ class CarrMadanConfig:
 
 
 def _damping_admissible(model: ModelSpec, damping: float) -> bool:
-    """Is E[S_T^(1+damping)] finite?"""
+    """Is E[S_T^(1+damping)] finite, with phi given on the damped line?
+
+    A raw Stable's phi takes real arguments only; its damped-strip form
+    with beta = -1 is FMLS."""
     if isinstance(model, (BS, FMLS)):
         return True
     if isinstance(model, NIG):
@@ -440,9 +445,27 @@ def _damping_admissible(model: ModelSpec, damping: float) -> bool:
         z = 1.0 + damping
         return 1.0 - model.theta * model.nu * z \
             - 0.5 * model.sigma ** 2 * model.nu * z * z > 0
-    if isinstance(model, Stable):
-        return model.beta == -1.0 and model.alpha > 1.0
-    return False  # Cauchy and anything else with no exponential moments
+    return False  # Stable, Cauchy and anything else
+
+
+def _damped_cut(cf: CentralizedCF, gamma: float, u: np.ndarray) -> int:
+    """The number of leading nodes of the ascending u >= 0 where the
+    Carr-Madan integrand can be nonzero.
+
+    For BS and FMLS these are the nodes before the first one where
+    `models._strip_phi_underflows` holds, which it then does at every later
+    one.  It is every node for NIG and VG, for a model whose real-axis cut
+    is not certified (cf.zero_from is inf), and where e^(gamma mu), by
+    which `log_price_cf` scales phi, overflows: a zero phi then makes a NaN
+    node, not a zero one."""
+    law = stable_law(cf.model, cf.T)
+    with np.errstate(over="ignore"):
+        scale_finite = np.isfinite(np.exp(gamma * cf.mu))
+    if law is None or math.isinf(cf.zero_from) or not scale_finite:
+        return u.size
+    return bisect.bisect_left(
+        range(u.size), True,
+        key=lambda i: _strip_phi_underflows(law, gamma, float(u[i])))
 
 
 def carr_madan_call(cf: CentralizedCF, ctx: MarketContext, K: float,
@@ -455,21 +478,32 @@ def carr_madan_call(cf: CentralizedCF, ctx: MarketContext, K: float,
                  / (damping^2 + damping - u^2 + i(2*damping+1)u)
     and the price is exp(-damping*k)/pi * Int_0^upper Re[exp(-iuk) psi(u)] du
     with k = log K.
+
+    psi is evaluated only on the nodes where phi can be nonzero
+    (`_damped_cut`); the Simpson vector keeps its full length with exact
+    zeros past them, so the sum is the full grid's bit for bit.
     """
     g = cfg.damping
     if not _damping_admissible(cf.model, g):
         raise DampingInadmissible(
-            f"E[S_T^{1 + g}] is infinite for {type(cf.model).__name__}")
+            f"no damped transform with damping {g} for "
+            f"{type(cf.model).__name__}")
     phi_log = log_price_cf(cf)
     k = math.log(K)
     n = cfg.n_terms
+    gamma = g + 1.0
     # the damped integrand is regular at u = 0 for every supported model, so
     # the grid starts exactly there; any positive offset u0 biases the price
     # by ~integrand(0)*u0, which is documented by a sensitivity test
     u = np.linspace(0.0, cfg.upper, n + 1)
-    numer = math.exp(-ctx.r * ctx.T) * phi_log(u - 1j * (g + 1.0))
-    denom = g * g + g - u * u + 1j * (2.0 * g + 1.0) * u
-    integrand = np.real(np.exp(-1j * u * k) * numer / denom)
+    m = _damped_cut(cf, gamma, u)
+    v = u[:m]
+    numer = math.exp(-ctx.r * ctx.T) * phi_log(v - 1j * gamma)
+    denom = g * g + g - v * v + 1j * (2.0 * g + 1.0) * v
+    # the node at u = 0 is positive, or +0 where it underflows, so a zero
+    # sum is +0 whatever the signs of the zeros past the cut would be
+    integrand = np.zeros(n + 1)
+    integrand[:m] = np.real(np.exp(-1j * v * k) * numer / denom)
     w = np.ones(n + 1)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     # numpy's pairwise sum, not a BLAS dot product, whose value depends on

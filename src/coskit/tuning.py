@@ -81,6 +81,10 @@ def _ranges(req: TuningRequest,
         n = req.moment_order
         mu_n = central_moment(req.model, req.ctx, n)
         M = L = (2.0 * K * mu_n / tol) ** (1.0 / n)
+        if M == 0.0:
+            raise ToleranceTooLoose(
+                f"tolerance too loose: the even-moment range (2 K mu_{n} / "
+                f"tol)^(1/{n}) underflows to 0")
         return M, L, math.sqrt(2.0 * M) * K, {
             "M": f"even-moment tail rule, order {n}",
             "L": "equal to M (semi-heavy tails)"}

@@ -264,6 +264,25 @@ def test_cli_exit_codes(capsys):
                      "0.2", "--T", "1.5", "--eps", "1e-8"]) == 2
     assert cli_main(["tune", "--model", "vg", "--sigma", "1e-10", "--nu", "1",
                      "--theta", "0.3", "--eps", "1e-8"]) == 2
+    # a power that overflows, or a variance or moment that underflows to 0:
+    # a ModelParameterError naming it, not a traceback or numpy's message
+    for argv, named in (
+            (["price", "--model", "bs", "--sigma", "1e200"], "sigma^2"),
+            (["tune", "--model", "bs", "--sigma", "1e200"], "sigma^2"),
+            (["price", "--model", "fmls", "--alpha", "1.5", "--sigma", "1e300",
+              "--T", "1e20"], "sigma^alpha"),
+            (["tune", "--model", "nig", "--alpha", "2", "--delta", "5e-324"],
+             "NIG variance"),
+            (["tune", "--model", "vg", "--sigma", "0.2", "--nu", "0.2",
+              "--T", "5e-324"], "VG variance"),
+            (["tune", "--model", "bs", "--sigma", "1e-150"],
+             "central moment of order 8")):
+        capsys.readouterr()
+        assert cli_main(argv + ["--eps", "1e-8"]) == 2
+        assert named in capsys.readouterr().err
+    # a tolerance so loose that the moment-rule range underflows to 0
+    assert cli_main(["tune", "--model", "bs", "--sigma", "1e-30",
+                     "--eps", "1e300"]) == 4
     capsys.readouterr()
 
 

@@ -54,6 +54,25 @@ def test_invalid_parameters_rejected(bad):
         bad()
 
 
+def test_overflowing_powers_and_underflowing_variances_are_typed():
+    # sigma^2 and sigma^alpha, which the formulas take, must be finite; a
+    # variance or a central moment that rounds to 0 is named
+    with pytest.raises(ModelParameterError, match=r"BS sigma\^2"):
+        BS(1e200)
+    with pytest.raises(ModelParameterError, match=r"FMLS sigma\^alpha"):
+        FMLS(1.5, 1e300)
+    with pytest.raises(ModelParameterError, match=r"FMLS scale\^alpha"):
+        centralized_cf(FMLS(1.5, 1e100), MarketContext(100.0, 0.0, 1e250))
+    with pytest.raises(ModelParameterError, match=r"stable scale\^alpha"):
+        tail_profile(Stable(1.5, 0.0, 1e300), CTX)
+    with pytest.raises(ModelParameterError, match="NIG variance"):
+        tail_profile(NIG(2.0, 5e-324), CTX)
+    with pytest.raises(ModelParameterError, match="VG variance"):
+        tail_profile(VG(0.2, 0.2), MarketContext(100.0, 0.0, 5e-324))
+    with pytest.raises(ModelParameterError, match="moment of order 8"):
+        central_moment(BS(1e-150), CTX, 8)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("model", [BS(0.2), NIG(2.0, 1.0), VG(0.1, 0.2, -0.1),
                                    FMLS(1.5, 0.1), Stable(1.5, 0.0, 1.0, 0.0)],
@@ -193,6 +212,59 @@ def test_real_scalar_phi_equals_0d_array_bit_for_bit(cf, x):
         assert _bits(value) == expected, (cf.model, cf.T, x)
 
 
+def _plain_phi(model, T):
+    """phi with its constant factors written into the expression: the
+    reference for the closures of centralized_cf, which compute them once.
+    A real scalar x is passed as np.complex128(x)."""
+    if isinstance(model, BS):
+        var = model.sigma ** 2 * T
+        return lambda u: np.exp(-0.5 * var * u * u)
+    if isinstance(model, NIG):
+        a, d = model.alpha, model.delta
+        return lambda u: np.exp(d * T * (a - np.sqrt(a * a + u * u)))
+    if isinstance(model, VG):
+        s, nu, th = model.sigma, model.nu, model.theta
+
+        def phi(u):
+            base = 1.0 - 1j * th * nu * u + 0.5 * s * s * nu * u * u
+            return base ** (-T / nu) * np.exp(-1j * u * th * T)
+        return phi
+    a = model.alpha
+    c = model.sigma * T ** (1.0 / a)
+    sec = 1.0 / math.cos(math.pi * a / 2.0)
+    return lambda u: np.exp(-(c ** a) * sec * (1j * u) ** a)
+
+
+_SCALAR_POINTS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.37, -0.37, 3.0, -2.7,
+                  41.5, -1e3, 1e5, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("model,T", [
+    (BS(0.2), 1.0), (BS(1e-3), 1e4), (NIG(1.2, 0.8), 1.0), (NIG(15.0, 0.5), 0.25),
+    (VG(0.1, 0.2, 0.0), 0.25), (VG(0.12, 0.2, 0.0), 1.5),
+    (VG(0.12, 0.3, -0.1), 1.0), (VG(0.12, 0.2, -0.14), 0.25),
+    (FMLS(1.5597, 0.1486), 1.0), (FMLS(1.05, 0.3), 2.0),
+    (Stable(1.5, 0.4, 0.8), 1.0), (Stable(1.0, 0.5, 0.7), 1.0), (Cauchy(), 1.0)])
+def test_phi_keeps_the_bits_of_the_plain_expression(model, T):
+    # a real scalar gives the plain expression's value on np.complex128(x),
+    # and an array its value on the complex array; the scalar also equals
+    # the 1-element array, except for drifted VG, whose two complex factors
+    # the vector loop multiplies with fused multiply-adds
+    cf = centralized_cf(model, MarketContext(100.0, 0.02, T))
+    xs = np.array(_SCALAR_POINTS)
+    drifted = isinstance(model, VG) and model.theta != 0.0
+    with np.errstate(all="ignore"):
+        if not isinstance(model, (Stable, Cauchy)):
+            plain = _plain_phi(model, T)
+            assert _bits(cf.phi(xs)) == _bits(plain(xs.astype(complex)))
+        for x in _SCALAR_POINTS:
+            value = cf.phi(x)
+            if not isinstance(model, (Stable, Cauchy)):
+                assert _bits(value) == _bits(plain(np.complex128(x))), x
+            if not drifted:
+                assert _bits(value) == _bits(cf.phi(np.array([x]))[0]), x
+
+
 # models drawn over wide parameter ranges, with FMLS and Stable alpha also
 # next to 1 (where sec(pi alpha / 2) loses digits), VG drift-free or not and
 # with T/nu sometimes an integer
@@ -283,14 +355,18 @@ def test_cut_frequencies_of_the_reference_models():
 @pytest.mark.parametrize("model,T", [
     (BS(5e-324), 1.0), (BS(1e-170), 1e-160), (BS(0.2), 5e-324),
     (BS(2.3e-162), 1e300), (BS(1e150), 1.5e-323),
-    (BS(1e100), 1e200), (FMLS(1.5, 5e-324), 1.0), (FMLS(1.5, 5e-324), 0.1)],
+    (BS(1e100), 1e200), (FMLS(1.5, 5e-324), 1.0), (FMLS(1.5, 5e-324), 0.1),
+    (FMLS(1.5, 1e-300), 0.1), (FMLS(1.5, 1e-204), 1.0)],
     ids=["sigma-0", "var-0", "T-half-0", "sigma2-subnormal", "T-half-subnormal",
-         "var-inf", "fmls-subnormal", "fmls-scale-0"])
+         "var-inf", "fmls-subnormal", "fmls-scale-0", "fmls-scale-power-0",
+         "fmls-power-at-cut-inf"])
 def test_out_of_range_scales_claim_no_cut(model, T):
     # sigma^2, T/2 or var outside the finite normal range: the stable scale
     # sigma sqrt(T/2) no longer matches phi's var to a few ulps, or is 0,
     # so there is no cut (and no Stable with scale 0 is built); a subnormal
-    # FMLS scale puts its cut past the largest float, a zero one nowhere
+    # FMLS scale puts its cut past the largest float, a zero one nowhere.
+    # An FMLS c^alpha below 750 / max-float leaves |(i u)^alpha| = 750 / c^alpha
+    # overflowing at the cut, where phi is then NaN, not 0
     cf = centralized_cf(model, MarketContext(100.0, 0.0, T))
     assert math.isinf(cf.zero_from)
 

@@ -8,15 +8,18 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 from scipy.special import roots_legendre
 
 from coskit import reference
 from coskit.cos_engine import Put, cos_price
-from coskit.errors import DampingInadmissible
+from coskit.errors import DampingInadmissible, ModelParameterError
 from coskit.harness import VG_SETUP, run_vg_counterexample
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext, Stable,
-                           centralized_cf, closed_form_density)
+                           _strip_phi_underflows, centralized_cf,
+                           closed_form_density, log_price_cf, stable_law)
 from coskit.reference import (CarrMadanConfig, black_scholes_call,
                               black_scholes_put, carr_madan_call, cauchy_cdf,
                               density_on_grid, derivative_by_inversion)
@@ -133,6 +136,116 @@ def test_damping_admissibility():
     cf = centralized_cf(FMLS(1.5597, 0.1486), CTX)
     price = carr_madan_call(cf, CTX, 100.0, CarrMadanConfig(2 ** 16, 5.0, 1200.0))
     assert math.isfinite(price)
+
+
+def test_carr_madan_refuses_a_raw_stable_law():
+    # Stable's phi takes real arguments only: evaluated at the damped
+    # argument's real part it priced FMLS(1.5597, 0.1486)'s own law at 6.99
+    # instead of 9.743; FMLS is the damped-strip form of that law
+    fmls = FMLS(1.5597, 0.1486)
+    law = stable_law(fmls, CTX.T)
+    mu = centralized_cf(fmls, CTX).mu
+    cf = centralized_cf(Stable(law.alpha, -1.0, law.scale, mu), CTX)
+    with pytest.raises(DampingInadmissible):
+        carr_madan_call(cf, CTX, 100.0)
+
+
+def _full_grid_call(cf, ctx, K, cfg):
+    """The Carr-Madan Simpson rule with the integrand evaluated on every
+    node: the reference for carr_madan_call, which leaves out the nodes
+    where phi is exactly 0."""
+    g = cfg.damping
+    phi_log = log_price_cf(cf)
+    k = math.log(K)
+    n = cfg.n_terms
+    u = np.linspace(0.0, cfg.upper, n + 1)
+    numer = math.exp(-ctx.r * ctx.T) * phi_log(u - 1j * (g + 1.0))
+    denom = g * g + g - u * u + 1j * (2.0 * g + 1.0) * u
+    integrand = np.real(np.exp(-1j * u * k) * numer / denom)
+    w = np.ones(n + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    integral = cfg.upper / n / 3.0 * float(np.sum(w * integrand))
+    return math.exp(-g * k) / math.pi * integral
+
+
+_CM_MODELS = st.one_of(
+    st.builds(BS, st.floats(1e-3, 3.0)),
+    st.builds(FMLS, st.floats(1.01, 1.99), st.floats(1e-3, 1.0)),
+    st.builds(NIG, st.floats(1.0, 60.0), st.floats(0.01, 5.0)),
+    st.builds(VG, st.floats(0.05, 0.6), st.floats(0.002, 1.0),
+              st.one_of(st.just(0.0), st.floats(-0.3, 0.3))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_CM_MODELS, st.floats(0.01, 5.0), st.floats(-0.05, 0.1),
+       st.floats(20.0, 500.0), st.floats(20.0, 500.0), st.floats(0.01, 5.0),
+       st.integers(4, 13).map(lambda e: 2 ** e), st.floats(1.0, 3000.0))
+@example(FMLS(1.5597, 0.1486), 1.0, 0.0, 100.0, 100.0, 1.5, 4096, 1024.0)
+@example(FMLS(1.5597, 0.1486), 1.0, 0.0, 100.0, 100.0, 0.1, 2 ** 17, 1200.0)
+@example(BS(0.2), 1.0, 0.0, 100.0, 100.0, 0.1, 2 ** 17, 1200.0)
+@example(BS(0.05), 0.1, 0.0, 100.0, 100.0, 0.1, 2 ** 10, 1200.0)  # cut past upper
+@example(BS(0.2), 1.0, 0.0, 1e-300, 100.0, 0.1, 2 ** 10, 1200.0)  # e^(gamma mu) = 0
+def test_carr_madan_equals_the_full_grid_rule_bit_for_bit(model, T, r, S0, K,
+                                                          damping, n, upper):
+    ctx = MarketContext(S0, r, T)
+    try:
+        cf = centralized_cf(model, ctx)
+    except ModelParameterError:
+        return
+    cfg = CarrMadanConfig(n, damping, upper)
+    assume(reference._damping_admissible(model, damping))
+    with np.errstate(all="ignore"):
+        expected = _full_grid_call(cf, ctx, K, cfg)
+        got = carr_madan_call(cf, ctx, K, cfg)
+    if math.isfinite(expected):
+        assert got.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("model,cut", [
+    (FMLS(1.5597, 0.1486), 470.0),
+    (BS(0.2), math.sqrt(750.0 / 0.02 + 1.1 ** 2)),  # c^2 (u^2 - gamma^2) = 750
+    (NIG(2.0, 0.6), None), (VG(0.1, 0.2), None)])
+def test_carr_madan_reference_grid_evaluates_only_where_phi_can_be_nonzero(
+        model, cut):
+    # the default grid, 2^17 intervals to u = 1200 at damping 0.1: the FMLS
+    # study's phi(u - 1.1i) is exactly 0 from about u = 470 on, 61% of the
+    # nodes, the BS one from where the strip exponent reaches -750; NIG and
+    # VG carry no cut
+    cf = centralized_cf(model, CTX)
+    u = np.linspace(0.0, 1200.0, 2 ** 17 + 1)
+    m = reference._damped_cut(cf, 1.1, u)
+    if cut is None:
+        assert m == u.size
+        return
+    assert u[m] == pytest.approx(cut, rel=1e-3)
+    with np.errstate(all="ignore"):
+        assert np.all(cf.phi(u[m:] - 1.1j) == 0.0)
+
+
+_STRIP_LAWS = st.one_of(
+    st.builds(BS, st.floats(1e-3, 5.0)),
+    st.builds(FMLS, st.floats(1.001, 1.999), st.floats(1e-3, 5.0)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_STRIP_LAWS, st.floats(0.01, 20.0), st.floats(1.0, 50.0),
+       st.lists(st.floats(1.0, 1e6), max_size=32))
+def test_damped_phi_is_exactly_zero_from_the_strip_cut_on(model, T, gamma,
+                                                          beyond):
+    # the first node of a fine grid where the strip bound holds, and sampled
+    # frequencies past it: phi(u - i gamma) is exactly 0 at every one
+    cf = centralized_cf(model, MarketContext(100.0, 0.0, T))
+    if math.isinf(cf.zero_from):
+        return
+    u = np.linspace(0.0, 4.0 * cf.zero_from + 4.0 * gamma, 4097)
+    m = reference._damped_cut(cf, gamma, u)
+    if m == u.size:
+        return
+    law = stable_law(model, T)
+    assert m >= 1 and not _strip_phi_underflows(law, gamma, float(u[m - 1]))
+    past = u[m] * np.concatenate([[1.0], beyond])
+    assert all(_strip_phi_underflows(law, gamma, float(v)) for v in past)
+    assert np.all(cf.phi(past - 1j * gamma) == 0.0), (model, T, gamma)
 
 
 def test_config_validation():
