@@ -6,6 +6,7 @@ whose characteristic function phi satisfies phi(0) = 1, |phi| <= 1 and Hermitian
 symmetry.  Pricing code only ever sees (phi, mu) with mu = E[log(S_T)].
 """
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -39,12 +40,16 @@ def _require_finite(params) -> None:
 
 
 def _finite_power(value: float, exponent: float, what: str) -> float:
-    """value ** exponent, or a ModelParameterError naming what overflows."""
+    """value ** exponent, or a ModelParameterError naming what overflows:
+    float ** raises OverflowError for a finite value, and inf ** exponent
+    is inf."""
     try:
-        return value ** exponent
+        power = float(value) ** exponent
     except OverflowError:
-        raise ModelParameterError(
-            f"{what} = {value}^{exponent:g} overflows") from None
+        power = math.inf
+    if not math.isfinite(power):
+        raise ModelParameterError(f"{what} = {value}^{exponent:g} overflows")
+    return power
 
 
 @dataclass(frozen=True)
@@ -245,7 +250,8 @@ def _strip_phi_underflows(law: Stable, gamma: float, u: float) -> bool:
     |cos(a theta)| = |cos(pi a/2)|, which at a = 2 also covers the
     cancellation in u^2 - gamma^2.  Past its sign change the exponent and
     |cos(a theta)| both grow with u, so where this holds it holds at every
-    larger u.  Valid only where the real-axis cut is (zero_from finite).
+    larger u.  Valid only where the real-axis cut is (zero_from finite);
+    `_damped_support` applies it only there.
     """
     a = law.alpha
     cos = math.cos(a * math.atan2(u, gamma))
@@ -259,6 +265,28 @@ def _strip_phi_underflows(law: Stable, gamma: float, u: float) -> bool:
     return (a * math.log(law.scale * math.hypot(gamma, u))
             + math.log(cos / math.cos(math.pi * a / 2.0))
             >= math.log(_CUT_EXPONENT))
+
+
+def _damped_support(cf: CentralizedCF, gamma: float, u: np.ndarray) -> int:
+    """The number of leading nodes of the ascending u >= 0 where the
+    damped `log_price_cf(cf)(u - i gamma)` can be nonzero.
+
+    For BS and FMLS these are the nodes before the first one where
+    `_strip_phi_underflows` holds, which it then does at every later one.
+    It is every node for any other model, for BS or FMLS without a
+    certified real-axis cut (cf.zero_from inf; a finite one also makes the
+    scale of their `stable_law` a positive finite float), and where
+    e^(gamma mu), by which `log_price_cf` scales phi, overflows: a zero
+    phi then makes a NaN node, not a zero one."""
+    if not isinstance(cf.model, (BS, FMLS)) or math.isinf(cf.zero_from):
+        return u.size
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.exp(gamma * cf.mu)):
+            return u.size
+    law = stable_law(cf.model, cf.T)
+    return bisect.bisect_left(
+        range(u.size), True,
+        key=lambda i: _strip_phi_underflows(law, gamma, float(u[i])))
 
 
 def _stable_cf(alpha: float, beta: float, scale: float):

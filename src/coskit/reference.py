@@ -11,7 +11,6 @@ partial sum built on them.  Only the tail integrals read the engine: they
 are L (c_k - a_k), with c_k from the characteristic function.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +25,7 @@ from .bounds import DerivativeBound, HjSource
 from .cos_engine import cos_coefficients
 from .errors import DampingInadmissible, QuadratureFailure
 from .models import (BS, FMLS, NIG, VG, CentralizedCF, MarketContext,
-                     ModelSpec, _strip_phi_underflows, log_price_cf,
-                     stable_law)
+                     ModelSpec, _damped_support, log_price_cf)
 
 __all__ = [
     "CarrMadanConfig", "carr_madan_call", "black_scholes_put",
@@ -448,26 +446,6 @@ def _damping_admissible(model: ModelSpec, damping: float) -> bool:
     return False  # Stable, Cauchy and anything else
 
 
-def _damped_cut(cf: CentralizedCF, gamma: float, u: np.ndarray) -> int:
-    """The number of leading nodes of the ascending u >= 0 where the
-    Carr-Madan integrand can be nonzero.
-
-    For BS and FMLS these are the nodes before the first one where
-    `models._strip_phi_underflows` holds, which it then does at every later
-    one.  It is every node for NIG and VG, for a model whose real-axis cut
-    is not certified (cf.zero_from is inf), and where e^(gamma mu), by
-    which `log_price_cf` scales phi, overflows: a zero phi then makes a NaN
-    node, not a zero one."""
-    law = stable_law(cf.model, cf.T)
-    with np.errstate(over="ignore"):
-        scale_finite = np.isfinite(np.exp(gamma * cf.mu))
-    if law is None or math.isinf(cf.zero_from) or not scale_finite:
-        return u.size
-    return bisect.bisect_left(
-        range(u.size), True,
-        key=lambda i: _strip_phi_underflows(law, gamma, float(u[i])))
-
-
 def carr_madan_call(cf: CentralizedCF, ctx: MarketContext, K: float,
                     cfg: CarrMadanConfig = CarrMadanConfig()) -> float:
     """European call by the damped Fourier transform of Carr-Madan, integrated
@@ -480,8 +458,8 @@ def carr_madan_call(cf: CentralizedCF, ctx: MarketContext, K: float,
     with k = log K.
 
     psi is evaluated only on the nodes where phi can be nonzero
-    (`_damped_cut`); the Simpson vector keeps its full length with exact
-    zeros past them, so the sum is the full grid's bit for bit.
+    (`models._damped_support`); the Simpson vector keeps its full length
+    with exact zeros past them, so the sum is the full grid's bit for bit.
     """
     g = cfg.damping
     if not _damping_admissible(cf.model, g):
@@ -496,7 +474,7 @@ def carr_madan_call(cf: CentralizedCF, ctx: MarketContext, K: float,
     # the grid starts exactly there; any positive offset u0 biases the price
     # by ~integrand(0)*u0, which is documented by a sensitivity test
     u = np.linspace(0.0, cfg.upper, n + 1)
-    m = _damped_cut(cf, gamma, u)
+    m = _damped_support(cf, gamma, u)
     v = u[:m]
     numer = math.exp(-ctx.r * ctx.T) * phi_log(v - 1j * gamma)
     denom = g * g + g - v * v + 1j * (2.0 * g + 1.0) * v

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -31,12 +32,20 @@ def test_cauchy_peak_is_exact_bound():
     assert b.source is HjSource.CLOSED_FORM_STABLE
 
 
-@pytest.mark.parametrize("sigma,T", [(0.2, 5e-324), (1e200, 1e300)],
+def _gauss_bound(sigma, T):
+    return hj_closed_form(BS(sigma), MarketContext(100.0, 0.0, T), 1)
+
+
+@pytest.mark.parametrize("sigma,T,match", [(0.2, 5e-324, "scale"),
+                                           (1e200, 1e300, r"BS sigma\^2")],
                          ids=["scale-0", "scale-inf"])
-def test_gauss_bound_refuses_a_stable_scale_out_of_range(sigma, T):
-    # sigma sqrt(T/2) rounds to 0 or overflows: no Stable law has that scale
-    with pytest.raises(ModelParameterError):
-        hj_closed_form(BS(sigma), MarketContext(100.0, 0.0, T), 1)
+def test_gauss_bound_refuses_a_stable_scale_out_of_range(sigma, T, match):
+    # sigma sqrt(T/2) rounds to 0: no Stable law has that scale.  It could
+    # overflow only where sigma^2 does, and BS itself refuses such a sigma;
+    # the largest sigma it takes keeps a finite bound at the largest T
+    with pytest.raises(ModelParameterError, match=match):
+        _gauss_bound(sigma, T)
+    assert math.isfinite(_gauss_bound(1.3e154, sys.float_info.max).log_value)
 
 
 def test_gauss_bound_matches_density_peak():

@@ -63,6 +63,9 @@ def test_overflowing_powers_and_underflowing_variances_are_typed():
         FMLS(1.5, 1e300)
     with pytest.raises(ModelParameterError, match=r"FMLS scale\^alpha"):
         centralized_cf(FMLS(1.5, 1e100), MarketContext(100.0, 0.0, 1e250))
+    # c = sigma T^(1/alpha) itself overflows, and inf ** alpha raises nothing
+    with pytest.raises(ModelParameterError, match=r"FMLS scale\^alpha"):
+        centralized_cf(FMLS(1.5, 1e200), MarketContext(100.0, 0.0, 1e200))
     with pytest.raises(ModelParameterError, match=r"stable scale\^alpha"):
         tail_profile(Stable(1.5, 0.0, 1e300), CTX)
     with pytest.raises(ModelParameterError, match="NIG variance"):

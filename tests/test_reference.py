@@ -18,8 +18,9 @@ from coskit.cos_engine import Put, cos_price
 from coskit.errors import DampingInadmissible, ModelParameterError
 from coskit.harness import VG_SETUP, run_vg_counterexample
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext, Stable,
-                           _strip_phi_underflows, centralized_cf,
-                           closed_form_density, log_price_cf, stable_law)
+                           _damped_support, _strip_phi_underflows,
+                           centralized_cf, closed_form_density, log_price_cf,
+                           stable_law)
 from coskit.reference import (CarrMadanConfig, black_scholes_call,
                               black_scholes_put, carr_madan_call, cauchy_cdf,
                               density_on_grid, derivative_by_inversion)
@@ -185,6 +186,9 @@ _CM_MODELS = st.one_of(
 @example(BS(0.2), 1.0, 0.0, 100.0, 100.0, 0.1, 2 ** 17, 1200.0)
 @example(BS(0.05), 0.1, 0.0, 100.0, 100.0, 0.1, 2 ** 10, 1200.0)  # cut past upper
 @example(BS(0.2), 1.0, 0.0, 1e-300, 100.0, 0.1, 2 ** 10, 1200.0)  # e^(gamma mu) = 0
+# the stable scale of the law rounds to 0, and no cut is claimed
+@example(BS(0.2), 5e-324, 0.0, 100.0, 100.0, 0.1, 2 ** 10, 1200.0)
+@example(FMLS(1.5, 5e-324), 0.1, 0.0, 100.0, 100.0, 0.1, 2 ** 10, 1200.0)
 def test_carr_madan_equals_the_full_grid_rule_bit_for_bit(model, T, r, S0, K,
                                                           damping, n, upper):
     ctx = MarketContext(S0, r, T)
@@ -213,7 +217,7 @@ def test_carr_madan_reference_grid_evaluates_only_where_phi_can_be_nonzero(
     # VG carry no cut
     cf = centralized_cf(model, CTX)
     u = np.linspace(0.0, 1200.0, 2 ** 17 + 1)
-    m = reference._damped_cut(cf, 1.1, u)
+    m = _damped_support(cf, 1.1, u)
     if cut is None:
         assert m == u.size
         return
@@ -238,7 +242,7 @@ def test_damped_phi_is_exactly_zero_from_the_strip_cut_on(model, T, gamma,
     if math.isinf(cf.zero_from):
         return
     u = np.linspace(0.0, 4.0 * cf.zero_from + 4.0 * gamma, 4097)
-    m = reference._damped_cut(cf, gamma, u)
+    m = _damped_support(cf, gamma, u)
     if m == u.size:
         return
     law = stable_law(model, T)
