@@ -4,8 +4,9 @@ the code that checks coskit rather than prices with it.
 Everything here is deliberately separate from the COS engine so the two
 routes can certify each other: Carr-Madan damped-transform pricing by
 Simpson's rule, the Black-Scholes closed forms, the Cauchy CDF, the
-Gaussian tail integrals, Fourier-inversion evaluation of densities and
-their derivatives, the scanned sup of a density derivative, and the
+closed-form densities of BS, NIG, VG and Cauchy, the Gaussian tail
+integrals, Fourier-inversion evaluation of densities and their
+derivatives, the scanned sup of a density derivative, and the
 Gauss-Legendre cosine coefficients of a density with the brute-force B(L)
 partial sum built on them.  Only the tail integrals read the engine: they
 are L (c_k - a_k), with c_k from the characteristic function.
@@ -19,18 +20,19 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
-from scipy.special import ndtr, roots_legendre, wofz
+from scipy.special import k1e, kve, ndtr, roots_legendre, wofz
 
 from .bounds import DerivativeBound, HjSource
 from .cos_engine import cos_coefficients
 from .errors import DampingInadmissible, QuadratureFailure
-from .models import (BS, FMLS, NIG, VG, CentralizedCF, MarketContext,
+from .models import (BS, FMLS, NIG, VG, Cauchy, CentralizedCF, MarketContext,
                      ModelSpec, _damped_support, log_price_cf)
 
 __all__ = [
     "CarrMadanConfig", "carr_madan_call", "black_scholes_put",
-    "black_scholes_call", "cauchy_cdf", "gauss_tail_cos_integrals",
-    "derivative_by_inversion", "density_on_grid", "hj_density_sup",
+    "black_scholes_call", "cauchy_cdf", "closed_form_density",
+    "gauss_tail_cos_integrals", "derivative_by_inversion", "density_on_grid",
+    "hj_density_sup",
     "density_cos_coefficients", "tail_cos_integrals", "BLPartialSum",
     "bl_bruteforce",
 ]
@@ -56,6 +58,61 @@ def black_scholes_call(ctx: MarketContext, sigma: float, K: float) -> float:
 def cauchy_cdf(x: float) -> float:
     """CDF of the standard Cauchy law."""
     return 0.5 + math.atan(x) / math.pi
+
+
+def closed_form_density(model: ModelSpec, ctx: MarketContext):
+    """Closed-form density of the centralized log-return, vectorized over x,
+    or None when no closed form exists (FMLS, general Stable)."""
+    T = ctx.T
+
+    if isinstance(model, BS):
+        s2 = model.sigma ** 2 * T
+
+        def dens(x):
+            x = np.asarray(x, dtype=float)
+            return np.exp(-0.5 * x * x / s2) / math.sqrt(2.0 * math.pi * s2)
+
+        return dens
+
+    if isinstance(model, NIG):
+        a, dT = model.alpha, model.delta * T
+
+        def dens(x):
+            x = np.asarray(x, dtype=float)
+            rho = np.sqrt(dT * dT + x * x)
+            # k1e(z) = exp(z) K_1(z) keeps the product finite for large x
+            return (a * dT / math.pi) * k1e(a * rho) * np.exp(a * (dT - rho)) / rho
+
+        return dens
+
+    if isinstance(model, VG):
+        s, nu, th = model.sigma, model.nu, model.theta
+        p = T / nu - 0.5
+        q = 2.0 * s * s / nu + th * th
+        log_pref = (math.log(2.0) - (T / nu) * math.log(nu)
+                    - 0.5 * math.log(2.0 * math.pi) - math.log(s)
+                    - math.lgamma(T / nu))
+
+        def dens(x):
+            # density of the centered increment, evaluated in log space with
+            # the scaled Bessel kve so exp(theta x / sigma^2) cannot overflow
+            x = np.asarray(x, dtype=float) + th * T
+            w = np.abs(x) * math.sqrt(q) / (s * s)
+            log_f = (log_pref + th * x / (s * s)
+                     + (T / (2.0 * nu) - 0.25) * np.log(x * x / q)
+                     + np.log(kve(p, w)) - w)
+            return np.exp(log_f)
+
+        return dens
+
+    if isinstance(model, Cauchy):
+        def dens(x):
+            x = np.asarray(x, dtype=float)
+            return 1.0 / (math.pi * (1.0 + x * x))
+
+        return dens
+
+    return None
 
 
 def gauss_tail_cos_integrals(L: float, sdev: float, k_max: int) -> np.ndarray:

@@ -135,16 +135,20 @@ def _check_semiheavy_range(profile: SemiHeavyTail, L: float, M: float,
                            xi: float, tol: float, with_series_cond: bool):
     """The selection rule is asymptotic in the tolerance; verify the three
     range conditions it silently needs, instead of trusting asymptotics."""
-    a, r = profile.amplitude, profile.rate
+    r = profile.rate
     if L < profile.onset:
         raise ToleranceTooLoose(
             f"range {L:.4g} below the tail-domination onset {profile.onset:.4g}")
-    l_density = -math.log(math.sqrt(r) / a * tol / (6.0 * xi)) / r
-    l_subst = -math.log(tol / (6.0 * xi) / bl_semiheavy_factor(a, r, M)) / r
-    checks = [("density-tail", l_density), ("substitution-term", l_subst)]
+    # each needed range is log(c a xi / tol) / r for a constant c, summed in
+    # logs: a, xi / tol and their product may pass the float range
+    log_ratio = math.log(profile.amplitude) + math.log(xi) - math.log(tol)
+    checks = [
+        ("density-tail", (math.log(6.0 / math.sqrt(r)) + log_ratio) / r),
+        ("substitution-term",
+         (math.log(6.0 * bl_semiheavy_factor(1.0, r, M)) + log_ratio) / r)]
     if with_series_cond:
-        l_series = -math.log(math.pi / (4.0 * a) * tol / (12.0 * xi)) / r
-        checks.append(("series-boundary", l_series))
+        checks.append(("series-boundary",
+                       (math.log(48.0 / math.pi) + log_ratio) / r))
     for name, needed in checks:
         if L < needed:
             raise ToleranceTooLoose(

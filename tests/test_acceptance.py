@@ -27,8 +27,9 @@ from coskit.harness import (CAUCHY_DIGITAL_SETUP, OPTIMAL_RANGE_GRID,
                             run_vg_counterexample)
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext,
                            SemiHeavyTail, Stable, centralized_cf,
-                           closed_form_density, tail_profile)
+                           tail_profile)
 from coskit.reference import (bl_bruteforce, black_scholes_put,
+                              closed_form_density,
                               density_cos_coefficients, density_on_grid,
                               derivative_by_inversion,
                               gauss_tail_cos_integrals, hj_density_sup)

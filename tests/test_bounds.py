@@ -14,9 +14,10 @@ from coskit.bounds import (HjSource, bl_bound_heavy, bl_bound_semiheavy,
                            hj_closed_form, hj_numeric, series_truncation_bound)
 from coskit.errors import IntegralDiverged, ModelParameterError, NoClosedForm
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext, Stable,
-                           centralized_cf, closed_form_density, tail_profile)
-from coskit.reference import (bl_bruteforce, gauss_tail_cos_integrals,
-                              hj_density_sup, tail_cos_integrals)
+                           centralized_cf, tail_profile)
+from coskit.reference import (bl_bruteforce, closed_form_density,
+                              gauss_tail_cos_integrals, hj_density_sup,
+                              tail_cos_integrals)
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)
 CTX_VG = MarketContext(S0=100.0, r=0.0, T=0.25)

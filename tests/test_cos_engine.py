@@ -17,8 +17,9 @@ from coskit.cos_engine import (Call, CosParameters, DigitalBelow, Put,
 from coskit.errors import NotReachedWithinCap
 from coskit.harness import run_l_optimal
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext, Stable,
-                           centralized_cf, closed_form_density)
-from coskit.reference import black_scholes_put, cauchy_cdf
+                           centralized_cf)
+from coskit.reference import (black_scholes_put, cauchy_cdf,
+                              closed_form_density)
 from coskit.tuning import TuningRequest, tune
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)

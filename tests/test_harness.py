@@ -276,13 +276,23 @@ def test_cli_exit_codes(capsys):
             (["tune", "--model", "vg", "--sigma", "0.2", "--nu", "0.2",
               "--T", "5e-324"], "VG variance"),
             (["tune", "--model", "bs", "--sigma", "1e-150"],
-             "central moment of order 8")):
+             "central moment of order 8"),
+            (["tune", "--model", "nig", "--alpha", "200", "--delta", "1",
+              "--T", "10"], "NIG tail amplitude")):
         capsys.readouterr()
         assert cli_main(argv + ["--eps", "1e-8"]) == 2
         assert named in capsys.readouterr().err
     # a tolerance so loose that the moment-rule range underflows to 0
     assert cli_main(["tune", "--model", "bs", "--sigma", "1e-30",
                      "--eps", "1e300"]) == 4
+    # a tail amplitude near the top of the float range certifies: the range
+    # conditions are summed in logs, and the VG amplitude is not read off a
+    # density grid whose fit overflows
+    assert cli_main(["tune", "--model", "nig", "--alpha", "100", "--delta",
+                     "1", "--T", "7.12", "--eps", "1e-16"]) == 0
+    assert cli_main(["tune", "--model", "vg", "--sigma", "0.0948", "--nu",
+                     "0.1728", "--theta", "-0.2995", "--T", "19.23", "--K",
+                     "177.7", "--n", "4", "--j", "54", "--eps", "1.41e-9"]) == 0
     capsys.readouterr()
 
 

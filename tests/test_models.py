@@ -1,19 +1,22 @@
 import dataclasses
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
+from coskit import models
 from coskit.errors import ModelParameterError, MomentDoesNotExist
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, HeavyTail,
                            MarketContext, SemiHeavyTail, central_moment,
-                           centralized_cf, closed_form_density,
-                           stable_law, tail_profile)
+                           centralized_cf, stable_law, tail_profile)
 from coskit.models import Stable
-from coskit.reference import derivative_by_inversion
+from coskit.reference import closed_form_density, derivative_by_inversion
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)
 CTX_VG = MarketContext(S0=100.0, r=0.0, T=0.25)
@@ -72,6 +75,10 @@ def test_overflowing_powers_and_underflowing_variances_are_typed():
         tail_profile(NIG(2.0, 5e-324), CTX)
     with pytest.raises(ModelParameterError, match="VG variance"):
         tail_profile(VG(0.2, 0.2), MarketContext(100.0, 0.0, 5e-324))
+    # lambda = sqrt(theta^2/sigma^4 + 2/(sigma^2 nu)) - |theta|/sigma^2 loses
+    # its digits: 0.9 lambda = 3.6 is past the true decay rate 1/eta+ = 3.33
+    with pytest.raises(ModelParameterError, match="VG tail rate"):
+        tail_profile(VG(3e-9, 1.0, 0.3), CTX)
     with pytest.raises(ModelParameterError, match="moment of order 8"):
         central_moment(BS(1e-150), CTX, 8)
 
@@ -504,6 +511,78 @@ def test_semiheavy_bound_dominates_density(model, ctx):
     for sign in (+1.0, -1.0):
         f = derivative_by_inversion(cf, 0, sign * xs)
         assert np.all(f <= bound + noise), (model, sign)
+
+
+# Independent oracles for log sup f(x) e^(rate |x|) over x >= onset on one
+# tail; neither reads coskit.  NIG: the density through mpmath's K_1.  VG:
+# the normal variance mixture over gamma time g, by the trapezoid rule in
+# t = log g, summed in logs (the sup passes the float range).
+
+def _peak(log_h, lo: float, hi: float, n: int = 120) -> float:
+    """max of a smooth log_h on [lo, hi]: a geometric scan, then a bounded
+    search between the neighbours of the best point."""
+    xs = np.geomspace(lo, hi, n)
+    vals = [log_h(x) for x in xs]
+    i = int(np.argmax(vals))
+    res = minimize_scalar(lambda x: -log_h(x), method="bounded",
+                          bounds=(xs[max(i - 1, 0)], xs[min(i + 1, n - 1)]))
+    return max(vals[i], -res.fun)
+
+
+def _nig_log_sup(alpha, delta, T, onset):
+    def log_h(x):
+        with mp.workdps(30):
+            dT = mp.mpf(delta) * T
+            rho = mp.sqrt(dT ** 2 + mp.mpf(x) ** 2)
+            return float(mp.log(alpha * dT / mp.pi) + alpha * dT - mp.log(rho)
+                         + mp.log(mp.besselk(1, alpha * rho)) + alpha * x)
+
+    return _peak(log_h, onset, 1e5 * onset)
+
+
+def _vg_log_sup(sigma, nu, theta, T, rate, onset, side):
+    # the gamma time has mean T; at every x scanned here, and for the shapes
+    # T/nu >= 0.75 used, e^-40 T to e^12 T holds all but a negligible share
+    # of the mixture
+    k, h = T / nu, 0.002
+    t = np.arange(math.log(T) - 40.0, math.log(T) + 12.0, h)
+    g = np.exp(t)
+    log_mix = ((k - 0.5) * t - g / nu - 0.5 * math.log(2.0 * math.pi * sigma ** 2)
+               - math.lgamma(k) - k * math.log(nu))
+
+    def log_h(x):
+        y = side * x + theta * T  # the uncentred VG law at the centred x
+        terms = log_mix - (y - theta * g) ** 2 / (2.0 * sigma ** 2 * g)
+        top = terms.max()
+        return top + math.log(h * np.sum(np.exp(terms - top))) + rate * x
+
+    return _peak(log_h, onset, 1e4 * onset)
+
+
+@pytest.mark.parametrize("model,T", [
+    (NIG(15.0, 0.5), 20.0), (NIG(100.0, 1.0), 5.0), (NIG(30.0, 1.0), 4.0),
+    (NIG(230.146, 0.03846), 4.024), (VG(0.0856, 0.0377), 17.59),
+    (VG(0.12, 0.2, -0.14), 1.5), (VG(0.12, 0.2), 0.25),
+    (VG(0.12, 0.2), 0.15),  # T/nu < 1: the sup sits at the onset
+])
+def test_semiheavy_amplitude_bounds_the_true_sup(model, T):
+    # on both tails the amplitude is at least sup f(x) e^(rate |x|) beyond
+    # the onset, and at most 1.2 times it; an amplitude past the float
+    # range is refused by name, and its log is checked instead
+    try:
+        prof = tail_profile(model, MarketContext(100.0, 0.0, T))
+        log_a, rate, onset = math.log(prof.amplitude), prof.rate, prof.onset
+    except ModelParameterError as err:
+        assert f"{type(model).__name__} tail amplitude" in str(err)
+        log_sup, rate, onset = models._log_tail(model, T)
+        log_a = math.log(1.1) + log_sup
+        assert log_a > math.log(sys.float_info.max)
+    if isinstance(model, NIG):  # symmetric: one tail is both
+        truth = _nig_log_sup(model.alpha, model.delta, T, onset)
+    else:
+        truth = max(_vg_log_sup(model.sigma, model.nu, model.theta, T, rate,
+                                onset, side) for side in (1.0, -1.0))
+    assert truth <= log_a <= truth + math.log(1.2)
 
 
 def test_cauchy_heavy_bound_dominates_density_exactly():

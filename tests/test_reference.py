@@ -19,11 +19,11 @@ from coskit.errors import DampingInadmissible, ModelParameterError
 from coskit.harness import VG_SETUP, run_vg_counterexample
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext, Stable,
                            _damped_support, _strip_phi_underflows,
-                           centralized_cf, closed_form_density, log_price_cf,
-                           stable_law)
+                           centralized_cf, log_price_cf, stable_law)
 from coskit.reference import (CarrMadanConfig, black_scholes_call,
                               black_scholes_put, carr_madan_call, cauchy_cdf,
-                              density_on_grid, derivative_by_inversion)
+                              closed_form_density, density_on_grid,
+                              derivative_by_inversion)
 from coskit.tuning import TuningRequest, tune
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)
