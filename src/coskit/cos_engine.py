@@ -8,6 +8,12 @@ can be nonzero: every second k when phi is real, and no k whose frequency
 k pi/(2L) lies where fl(phi) is exactly 0 (CentralizedCF.real, .zero_from).
 The terms left out are exactly +-0, and every price is the correctly rounded
 sum of its terms, so it is the full series' price bit for bit.
+
+A long term vector is summed by one error-free split into a part that sums
+exactly in any grouping and a remainder whose rounded sum has an error bound
+known a priori; a prefix that bound cannot decide goes to math.fsum
+(_prefix_sums).  The term vector itself is built in place, by the same IEEE
+operations in the same order as the textbook expressions.
 """
 
 import math
@@ -17,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NotReachedWithinCap
+from .errors import NonFinitePrice, NotReachedWithinCap
 from .models import CentralizedCF, MarketContext
 
 __all__ = [
@@ -127,7 +133,9 @@ def _basis_integrals(a: float, b: float, L: float, k: np.ndarray,
 
     Both read one sine (and cosine) of the upper angle w (b+L).  The lower
     angle w (a+L) is exactly 0 when a = -L, where its sine is 0 and its
-    cosine 1, so it is only evaluated when a + L != 0.
+    cosine 1, so it is only evaluated when a + L != 0.  Each value is built
+    in its own buffer by the operations of the textbook expressions, in
+    their order, so only the allocations differ from them.
     """
     w = k * (math.pi / (2.0 * L))
     tb = w * (b + L)
@@ -138,15 +146,28 @@ def _basis_integrals(a: float, b: float, L: float, k: np.ndarray,
         sa = np.sin(ta)
     psi = np.empty(k.size)
     psi[0] = b - a
-    psi[1:] = (sb[1:] - sa[1:] if lower else sb[1:]) / w[1:]
+    if lower:
+        np.subtract(sb[1:], sa[1:], out=psi[1:])
+        psi[1:] /= w[1:]
+    else:
+        np.divide(sb[1:], w[1:], out=psi[1:])
     if not exp_weighted:
         return psi, None
-    upper = math.exp(b) * (np.cos(tb) + w * sb)
+    # chi = (e^b (cos tb + w sb) - e^a (cos ta + w sa)) / (1 + w^2)
+    chi = np.cos(tb, out=tb)
+    chi += np.multiply(w, sb, out=sb)
+    chi *= math.exp(b)
     if lower:
-        upper -= math.exp(a) * (np.cos(ta) + w * sa)
+        lo = np.cos(ta, out=ta)
+        lo += np.multiply(w, sa, out=sa)
+        lo *= math.exp(a)
+        chi -= lo
     else:
-        upper -= math.exp(a)
-    return psi, upper / (1.0 + w * w)
+        chi -= math.exp(a)
+    w *= w
+    w += 1.0
+    chi /= w
+    return psi, chi
 
 
 def _upper_limit(payoff: Payoff, mu: float) -> float:
@@ -180,9 +201,13 @@ def payoff_coefficients(payoff: Payoff, ctx: MarketContext, mu: float,
     d = min(d, M)
     digital = isinstance(payoff, DigitalBelow)
     psi, chi = _basis_integrals(-M, d, L, k, exp_weighted=not digital)
-    if digital:
-        return disc * psi
-    return disc * (payoff.strike * psi - math.exp(mu) * chi)
+    if not digital:
+        # disc (K psi - e^mu chi), the products taken in place
+        psi *= payoff.strike
+        chi *= math.exp(mu)
+        psi -= chi
+    psi *= disc
+    return psi
 
 
 # Term vectors shorter than this are summed by math.fsum over a list, longer
@@ -195,48 +220,53 @@ _MAX_TERMS = 2 ** 25
 
 
 def _prefix_sums(terms: np.ndarray, ns) -> list[float]:
-    """The sum of terms[:n + 1] for each n in ns, correctly rounded: bit for
-    bit math.fsum's value, since a correctly rounded sum is unique.
+    """The sum of terms[:n + 1] for each n in ns (any order, repeats
+    allowed), correctly rounded: bit for bit math.fsum's value, since a
+    correctly rounded sum is unique.
 
     Below _VECTOR_SUM_MIN terms, math.fsum reads one list made from the
     vector (a numpy array would make it unbox one scalar per term).  Longer
-    vectors are split twice by error-free extraction (Rump, Ogita & Oishi,
+    vectors are split once by error-free extraction (Rump, Ogita & Oishi,
     "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
-    2008).  With sigma a power of two at least (n + 2) max|p|, the split
-    q = (sigma + p) - sigma lies on the grid of half an ulp of sigma, so every
-    running sum of q is exact and np.cumsum gives exact prefix sums.  Two
-    splits give exact P1 and P2, and the rest is bounded by R, the sum of its
-    magnitudes widened by its own rounding.  s = fl(P1 + P2) is the correctly
-    rounded sum wherever the exact error P1 + P2 - s, moved by +-R, stays
-    strictly inside half the gap to each neighbour of s and s is nonzero.
-    Any other prefix (a tie, a zero sum), and every prefix of a vector with
-    a non-finite term or a sigma above 2^1023, goes to math.fsum, which
-    keeps its exceptions.
+    2008).  With sigma a power of two at least (m + 2) max|t| over the m
+    terms read, q = (t + sigma) - sigma lies on the grid of 2^-53 sigma and
+    r = t - q is exact with |r| <= 2^-53 sigma.  Every partial sum of q then
+    stays on that grid below sigma, so any grouping of q sums exactly:
+    np.add.reduceat sums q between the sorted distinct requested prefixes,
+    and a running sum of those pieces gives the exact prefix sums P1.  The
+    same pieces of r give rounded prefix sums P2, each term passing through
+    at most n additions, so |P2 - sum r| <= gamma_n (n + 1) 2^-53 sigma
+    < (n + 1)^2 2^-106 sigma for n (n + 1) < 2^53, a bound known before any
+    pass over r (taken at 2^-1074 or more, which keeps it an exact product
+    of an integer and a power of two).  s = fl(P1 + P2) is the correctly
+    rounded sum wherever the exact error P1 + P2 - s, moved by +-bound,
+    stays strictly inside half the gap to each neighbour of s and s is
+    nonzero.  Any other prefix (a tie, a zero sum), and every prefix of a
+    vector with a non-finite term or a sigma above 2^1023, goes to
+    math.fsum, which keeps its exceptions.
     """
     n_terms = terms.size
-    scale = (n_terms + 1).bit_length()            # 2**scale >= n_terms + 2
-    top = (float(np.max(np.abs(terms))) if n_terms >= _VECTOR_SUM_MIN
-           else math.nan)
-    if not (math.isfinite(top) and math.frexp(top)[1] + scale <= 1023):
+    if n_terms >= _VECTOR_SUM_MIN:
+        ends = sorted(set(ns))
+        m = ends[-1] + 1
+        head, q, r = terms[:m], np.empty(m), np.empty(m)
+        top = float(np.max(np.abs(head, out=q)))
+        e = math.frexp(top)[1] + (m + 1).bit_length()  # 2^e >= (m + 2) top
+    if n_terms < _VECTOR_SUM_MIN or not (math.isfinite(top) and e <= 1023):
         full = terms.tolist()
         return [math.fsum(full if n == n_terms - 1 else full[:n + 1])
                 for n in ns]
 
     # from here every partial sum is below 2^1023 in magnitude, so s and
     # both its neighbours are finite
-    idx = np.asarray(ns)
-    rest, exact = terms, []
-    for _ in range(2):
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + scale)
-        q = rest + sigma
-        q -= sigma
-        rest = rest - q
-        exact.append(np.cumsum(q, out=q)[idx])
-        top = float(np.max(np.abs(rest, out=q)))
-    # q holds |rest|: its rounded running sums, widened by their own
-    # worst-case rounding, bound the rest of every prefix
-    bound = np.cumsum(q, out=q)[idx] * (1.0 + (n_terms + 1) * 2.0 ** -52)
-    p1, p2 = exact
+    sigma = math.ldexp(1.0, e)
+    np.add(head, sigma, out=q)
+    q -= sigma
+    np.subtract(head, q, out=r)
+    starts = [0] + [n + 1 for n in ends[:-1]]
+    p1 = np.cumsum(np.add.reduceat(q, starts))
+    p2 = np.cumsum(np.add.reduceat(r, starts))
+    bound = (np.array(ends) + 1.0) ** 2 * math.ldexp(1.0, max(e - 106, -1074))
     s = p1 + p2
     z = s - p1
     err = (p1 - (s - z)) + (p2 - z)              # TwoSum: p1 + p2 == s + err
@@ -244,8 +274,9 @@ def _prefix_sums(terms: np.ndarray, ns) -> list[float]:
     half_down = 0.5 * (s - np.nextafter(s, -math.inf))
     decided = ((s != 0.0) & (err + bound < half_up)
                & (err - bound > -half_down)).tolist()
-    return [s_n if ok else math.fsum(terms[:n + 1].tolist())
-            for s_n, ok, n in zip(s.tolist(), decided, ns)]
+    by_end = {n: s_n if ok else math.fsum(terms[:n + 1].tolist())
+              for s_n, ok, n in zip(s.tolist(), decided, ends)}
+    return [by_end[n] for n in ns]
 
 
 def _support(cf: CentralizedCF, L: float, n_max: int) -> range:
@@ -259,7 +290,7 @@ def _support(cf: CentralizedCF, L: float, n_max: int) -> range:
     whose phi at its last frequency is not finite keeps every term.
     """
     w = math.pi / (2.0 * L)
-    if not np.isfinite(cf.phi(np.array([n_max * w]))[0]):
+    if not np.isfinite(cf.phi(n_max * w)):
         return range(n_max + 1)
     last = n_max if n_max * w < cf.zero_from else int(cf.zero_from / w) + 1
     return range(0, min(last, n_max) + 1, 2 if cf.real else 1)
@@ -287,8 +318,8 @@ def cos_prices(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
         prices = [0.0] * len(ns)
     else:
         ks = _support(cf, L, n_max)
-        terms = (cos_coefficients(cf, L, ks)
-                 * payoff_coefficients(payoff, ctx, cf.mu, M, L, ks))
+        terms = cos_coefficients(cf, L, ks)
+        terms *= payoff_coefficients(payoff, ctx, cf.mu, M, L, ks)
         terms[0] *= 0.5
         prices = _prefix_sums(terms, [min(n, ks[-1]) // ks.step for n in ns])
 
@@ -302,9 +333,13 @@ def cos_price(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
               params: CosParameters) -> PricingResult:
     """Price = half-weighted series sum_k' c_k v_k at the parameters' N (see
     cos_prices).  A payoff with no mass on [-M, M] prices at 0 (plus parity
-    for a call) with degenerate=True."""
+    for a call) with degenerate=True.  A nan or infinite sum raises
+    NonFinitePrice."""
     t0 = time.perf_counter()
     price, = cos_prices(cf, payoff, ctx, params.M, params.L, [params.N])
+    if not math.isfinite(price):
+        raise NonFinitePrice(f"COS price of {cf.model!r} at T = {cf.T:g}, "
+                             f"N = {params.N} is {price}")
     return PricingResult(price=price, params=params, tol=params.tol,
                          elapsed_s=time.perf_counter() - t0,
                          degenerate=_upper_limit(payoff, cf.mu) <= -params.M)

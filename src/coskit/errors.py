@@ -38,6 +38,10 @@ class NotReachedWithinCap(CosKitError):
     """Search exhausted its budget without meeting the target."""
 
 
+class NonFinitePrice(CosKitError):
+    """The COS sum came out nan or infinite (phi overflowed far out)."""
+
+
 class ReferenceUnavailable(CosKitError):
     """No reference price available for the requested experiment."""
 

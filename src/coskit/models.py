@@ -512,7 +512,11 @@ def _log_tail(model: NIG | VG, T: float) -> tuple[float, float, float]:
     s, nu, th = model.sigma, model.nu, model.theta
     if s ** 4 == 0.0 or s * s * nu == 0.0:
         raise ModelParameterError("VG sigma^4 or sigma^2 nu underflows")
-    lam = math.sqrt(th * th / s ** 4 + 2.0 / (s * s * nu)) - abs(th) / (s * s)
+    big = math.sqrt(th * th * nu * nu / 4.0 + s * s * nu / 2.0) + abs(th) * nu / 2.0
+    small = s * s * nu / 2.0 / big  # eta+ eta- = sigma^2 nu / 2, uncancelled
+    # the slower decay rate 1/big, which sqrt(theta^2/sigma^4 + 2/(sigma^2
+    # nu)) - |theta|/sigma^2 equals but loses to cancellation
+    lam = 1.0 / big
     if not lam > 0.0:
         raise ModelParameterError(f"VG tail decay rate rounds to {lam}")
     rate = 0.9 * lam  # strict slack absorbs the polynomial tail factor
@@ -522,8 +526,6 @@ def _log_tail(model: NIG | VG, T: float) -> tuple[float, float, float]:
             f"VG variance (sigma^2 + nu theta^2) T = {var} underflows")
     onset = 6.0 * math.sqrt(var)
     k = T / nu
-    big = math.sqrt(th * th * nu * nu / 4.0 + s * s * nu / 2.0) + abs(th) * nu / 2.0
-    small = s * s * nu / 2.0 / big  # eta+ eta- = sigma^2 nu / 2, uncancelled
     eta_up, eta_down = (big, small) if th >= 0.0 else (small, big)
 
     def side(eta, eta_other, y0):
@@ -621,6 +623,8 @@ def cumulants(model: ModelSpec, ctx: MarketContext) -> dict:
         # nearest singularity of log(phi): smaller root of the quadratic base
         d_min = (math.sqrt(th * th * nu * nu + 2.0 * s * s * nu) - abs(th) * nu) \
             / (s * s * nu)
+        if not d_min > 0.0:
+            raise ModelParameterError(f"VG cumulant radius rounds to {d_min}")
         return log_cf_cumulants(log_phi, 0.5 * d_min)
     raise MomentDoesNotExist(f"no cumulant table for {model!r}")
 

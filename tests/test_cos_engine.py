@@ -14,7 +14,7 @@ from coskit import cos_engine
 from coskit.cos_engine import (Call, CosParameters, DigitalBelow, Put,
                                cos_coefficients, cos_price, cos_prices,
                                payoff_coefficients)
-from coskit.errors import NotReachedWithinCap
+from coskit.errors import NonFinitePrice, NotReachedWithinCap
 from coskit.harness import run_l_optimal
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext, Stable,
                            centralized_cf)
@@ -261,6 +261,17 @@ def test_series_with_overflowing_phi_keeps_every_term():
     assert math.isfinite(prices[0]) and math.isnan(prices[1])
 
 
+def test_cos_price_refuses_a_non_finite_sum():
+    # the same VG at N = 5000 sums to nan: cos_prices returns it as it is,
+    # and cos_price raises a typed error naming the model and N
+    ctx = MarketContext(100.0, 0.0, 64.0)
+    cf = centralized_cf(VG(0.5, 1.0), ctx)
+    with np.errstate(all="ignore"):
+        assert math.isnan(cos_prices(cf, Put(100.0), ctx, 10.0, 10.0, [5000])[0])
+        with pytest.raises(NonFinitePrice, match=r"VG\(sigma=0\.5.*N = 5000"):
+            cos_price(cf, Put(100.0), ctx, CosParameters(10.0, 10.0, 5000))
+
+
 def test_coefficients_on_a_range_are_the_full_vector_entries():
     ks = range(0, 301, 3)
     c = cos_coefficients(CF_BS, 1.7, ks)
@@ -273,11 +284,13 @@ def test_coefficients_on_a_range_are_the_full_vector_entries():
             cos_coefficients(CF_BS, 1.7, bad)
 
 
-def _assert_prefix_sums_are_fsums(values):
+def _assert_prefix_sums_are_fsums(values, ns=None):
     """Every prefix sum carries math.fsum's bits, the sign of zero included
     (float.hex tells -0.0 from 0.0 and reads every nan alike), or the helper
-    raises what fsum raises at the first prefix it fails on."""
-    ns = list(range(len(values)))
+    raises what fsum raises at the first prefix it fails on.  ns defaults to
+    every prefix in order."""
+    if ns is None:
+        ns = list(range(len(values)))
     try:
         want = [math.fsum(values[:n + 1]).hex() for n in ns]
     except (OverflowError, ValueError) as exc:
@@ -326,6 +339,22 @@ def test_prefix_sums_equal_fsum_on_long_vectors(values, size):
     # the same at the real size threshold: the vector is tiled to 1023-1500
     # terms, so both the fsum and the vector path are taken
     _assert_prefix_sums_are_fsums(np.resize(np.array(values), size).tolist())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(_term_vectors(), _term_vectors(finite=False)),
+       st.sampled_from([1, 40, 1023, 1024, 1500]), st.data())
+def test_prefix_sums_take_prefixes_in_any_order(values, size, data):
+    # ns shuffled, with repeats: each answer is the fsum of its own prefix,
+    # on both sides of _VECTOR_SUM_MIN (and past it at every size)
+    values = np.resize(np.array(values), size).tolist()
+    ns = data.draw(st.lists(st.integers(0, size - 1), min_size=1,
+                            max_size=12))
+    ns += data.draw(st.lists(st.sampled_from(ns), min_size=1, max_size=4))
+    ns = data.draw(st.permutations(ns))
+    _assert_prefix_sums_are_fsums(values, ns)
+    with mock.patch.object(cos_engine, "_VECTOR_SUM_MIN", 1):
+        _assert_prefix_sums_are_fsums(values, ns)
 
 
 def test_l_optimal_prefixes_rarely_fall_back(monkeypatch):
