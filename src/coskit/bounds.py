@@ -111,11 +111,11 @@ def hj_numeric(cf: CentralizedCF, order: int) -> DerivativeBound:
     # out of a process that imports the pricing modules and never calls this
     from scipy.integrate import quad
 
-    j = order
+    j, phi = order, cf.phi
 
     def g(u):
         try:
-            return u ** j * abs(complex(cf.phi(u)))
+            return u ** j * abs(phi(u))
         except OverflowError:
             raise IntegralDiverged(
                 f"u^{j} overflows at u = {u:.4g} before u^{j}|phi(u)| "

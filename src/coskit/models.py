@@ -7,6 +7,7 @@ symmetry.  Pricing code only ever sees (phi, mu) with mu = E[log(S_T)].
 """
 
 import bisect
+import cmath
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -196,18 +197,39 @@ class CentralizedCF:
 
 
 _REAL_SCALARS = (float, int, np.floating, np.integer)
-# x + (-0 + 0i) is x + 0i for every real x, -0 included
+# x + (-0 + 0i) is x + 0i for every real x, -0 included, in NumPy and in
+# Python complex arithmetic
 _COMPLEX_ZERO = np.complex128(-0.0)
+_PY_COMPLEX_ZERO = complex(-0.0, 0.0)
+# z + (-0 - 0i) is z for every complex z, signed zeros included: it turns a
+# Python complex into an np.complex128 with the same bits
+_NUMPY_IDENTITY = np.complex128(complex(-0.0, -0.0))
+# x * 1j takes x as x + 0i, so it is 1j * (x + 0i) bit for bit: the same
+# products, summed in the other order
+_NUMPY_I = np.complex128(1j)
+
+# A float u (what QUADPACK passes, one point at a time) runs the BS, NIG, VG
+# and FMLS phi in Python scalars, by the operations NumPy's scalar math
+# applies to u + 0i, and so to the same bits at a fraction of the cost.
+# Python and NumPy multiply complex numbers by the same formula; on a zero
+# imaginary part NumPy's complex exp and sqrt are libm's real ones, which
+# `math` calls; and `cmath.exp` agrees with NumPy's complex exp on every
+# finite argument of real part at most about 0, all that phi passes it.
+# Each operation keeps both operands complex where NumPy's were, so no
+# mixed-mode rule can move a signed zero, and the complex power stays one
+# NumPy scalar operation, whose algorithm Python's `**` does not share.
+# Where an intermediate is not finite, and a signed zero or a nan could
+# come out otherwise, phi takes the NumPy path of _complex_arg.
 
 
 def _complex_arg(u):
-    """phi's argument as complex: a real scalar (what QUADPACK passes, one
-    point at a time) becomes an np.complex128, so phi runs as NumPy scalar
-    math instead of paying ufunc dispatch on a 0-d array; every product
-    with x + 0i is exact, so the value is the same bit for bit.  The sum
-    with a complex zero makes the scalar faster than the np.complex128
-    constructor does.  Arrays and complex scalars (a general complex
-    product may round differently in scalar math) take the array path."""
+    """phi's argument as complex: a real scalar becomes an np.complex128, so
+    phi runs as NumPy scalar math instead of paying ufunc dispatch on a 0-d
+    array; every product with x + 0i is exact, so the value is the same bit
+    for bit.  The sum with a complex zero makes the scalar faster than the
+    np.complex128 constructor does.  Arrays and complex scalars (a general
+    complex product may round differently in scalar math) take the array
+    path."""
     if isinstance(u, _REAL_SCALARS):
         return u + _COMPLEX_ZERO
     return np.asarray(u, dtype=complex)
@@ -289,6 +311,22 @@ def _damped_support(cf: CentralizedCF, gamma: float, u: np.ndarray) -> int:
         key=lambda i: _strip_phi_underflows(law, gamma, float(u[i])))
 
 
+def _power_by_products(base, power: float, rot):
+    """base ** power * rot for a VG phi whose power numpy takes by products
+    (an integer above -100).  Where they overflow, into nan, |phi| is below
+    1e-308, and exp(power log(base)) * rot gives the tiny value instead;
+    every finite value stays as it is, and the handled overflow warns of
+    nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = base ** power * rot
+        finite = np.isfinite(value)
+        if not finite.all():
+            # [()] turns where's 0-d result for a scalar back into a scalar
+            value = np.where(finite, value,
+                             np.exp(power * np.log(base)) * rot)[()]
+    return value
+
+
 def _stable_cf(alpha: float, beta: float, scale: float):
     """CF of a centred stable law in the standard parameterization (real
     arguments)."""
@@ -332,6 +370,12 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         half_var = -0.5 * var
 
         def phi(u):
+            if isinstance(u, float):
+                # -0.5 var u u on x + 0i is (half_var x) x + 0i while
+                # half_var x is finite
+                e = half_var * u
+                if e - e == 0.0:
+                    return math.exp(e * u) + 0j
             u = _complex_arg(u)
             return np.exp(half_var * u * u)
 
@@ -353,6 +397,12 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         dT, a2 = d * T, a * a
 
         def phi(u):
+            if isinstance(u, float):
+                # every imaginary part on x + 0i is +0 while u u is finite,
+                # and then the exponent is at most 0 up to rounding
+                e = dT * (a - math.sqrt(a2 + u * u))
+                if -math.inf < e <= 0.0:
+                    return math.exp(e) + 0j
             u = _complex_arg(u)
             return np.exp(dT * (a - np.sqrt(a2 + u * u)))
 
@@ -370,11 +420,31 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         w = math.log(mgf_arg) / nu
 
         drift, curv, power = 1j * th * nu, 0.5 * s * s * nu, -T / nu
+        # the Python complex factors of the scalar path
+        one, curv_c, th_c, T_c = (complex(c) for c in (1.0, curv, th, T))
+        # numpy takes an integer power from -99 to -1 by binary powering;
+        # while |base| is at most no_overflow no product overflows
+        by_products = power.is_integer() and -100.0 < power <= -1.0
+        no_overflow = ((sys.float_info.max / 4.0) ** (1.0 / -power)
+                       if by_products else math.inf)
 
         def phi(u):
+            if isinstance(u, float):
+                z = u + _PY_COMPLEX_ZERO
+                turn = -1j * z * th_c * T_c
+                if cmath.isfinite(turn):
+                    base = one - drift * z + curv_c * z * z
+                    rot = cmath.exp(turn)
+                    if by_products and abs(base) > no_overflow:
+                        return _power_by_products(base + _NUMPY_IDENTITY,
+                                                  power, rot)
+                    return (base + _NUMPY_IDENTITY) ** power * rot
             u = _complex_arg(u)
             base = 1.0 - drift * u + curv * u * u
-            return base ** power * np.exp(-1j * u * th * T)
+            rot = np.exp(-1j * u * th * T)
+            if by_products:
+                return _power_by_products(base, power, rot)
+            return base ** power * rot
 
         mu = math.log(ctx.S0) + (ctx.r + w) * T + th * T
         return CentralizedCF(phi, mu, model, T, real=(th == 0.0),
@@ -386,23 +456,37 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         sec = 1.0 / math.cos(math.pi * a / 2.0)
         c_a = _finite_power(c, a, "FMLS scale^alpha")
         coef = -c_a * sec
+        # |phi| = exp(-(c u)^a) exactly, but the computed exponent is sec
+        # times a cos(pi a / 2) that (i u)^a rounds apart: a few ulps of
+        # pi/2 over |cos(pi a / 2)|, which no margin covers as a nears 1.
+        # c is the scale of its stable_law.  Past the cut |(i u)^a| is at
+        # least 750 / c^a; where it overflows phi computes nan, and phi
+        # returns the 0 it rounds to
+        zero = math.inf
+        if c_a * sys.float_info.max > _CUT_EXPONENT:
+            zero = _zero_from(a, c, rel=_REL_ROUNDING + 2.0 ** -48 * abs(sec))
 
         def phi(u):
             # exp(-c^alpha * sec(pi a/2) * (i u)^alpha), principal branch;
             # equals the stable CF with beta = -1 on the real axis and extends
             # analytically to Im(u) <= 0.
+            if isinstance(u, float):
+                e = coef * (u * _NUMPY_I) ** a
+                if cmath.isfinite(e):
+                    return cmath.exp(e)
+                value = np.exp(e)
+                return 0j if abs(u) >= zero and not cmath.isfinite(value) \
+                    else value
             u = _complex_arg(u)
-            return np.exp(coef * (1j * u) ** a)
+            value = np.exp(coef * (1j * u) ** a)
+            # a real u makes |phi| <= 1, so the sum of the real parts is
+            # finite unless some value is not
+            if zero < math.inf and not math.isfinite(value.real.sum()):
+                value = np.where((u.imag == 0.0) & (abs(u.real) >= zero)
+                                 & ~np.isfinite(value), 0j, value)
+            return value
 
         mu = math.log(ctx.S0) + ctx.r * T + _fmls_log_moment_shift(model, T) * T
-        # |phi| = exp(-(c u)^a) exactly, but the computed exponent is sec
-        # times a cos(pi a / 2) that (i u)^a rounds apart: a few ulps of
-        # pi/2 over |cos(pi a / 2)|, which no margin covers as a nears 1.
-        # c is the scale of its stable_law.  Past the cut |(i u)^a| is at
-        # least 750 / c^a, and phi is NaN, not 0, once that overflows
-        zero = math.inf
-        if c_a * sys.float_info.max > _CUT_EXPONENT:
-            zero = _zero_from(a, c, rel=_REL_ROUNDING + 2.0 ** -48 * abs(sec))
         return CentralizedCF(phi, mu, model, T, real=False, zero_from=zero)
 
     if isinstance(model, Stable):

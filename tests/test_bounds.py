@@ -11,7 +11,8 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from coskit.bounds import (HjSource, bl_bound_heavy, bl_bound_semiheavy,
-                           hj_closed_form, hj_numeric, series_truncation_bound)
+                           hj_closed_form, hj_numeric, series_order_cap,
+                           series_truncation_bound)
 from coskit.errors import IntegralDiverged, ModelParameterError, NoClosedForm
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext, Stable,
                            centralized_cf, tail_profile)
@@ -210,6 +211,61 @@ def test_vg_higher_order_diverges():
     cf = centralized_cf(VG(0.1, 0.2, 0.0), CTX_VG)
     with pytest.raises(IntegralDiverged):
         hj_numeric(cf, 2)
+
+
+def _hj_numeric_over_numpy_scalars(cf, j):
+    """hj_numeric's octave loop, step for step, with the integrand
+    u^j |phi(u)| taking phi on np.complex128(u): NumPy scalar math, the
+    way phi evaluated a real point before it had a Python scalar path."""
+    def g(u):
+        return u ** j * abs(complex(cf.phi(np.complex128(u))))
+
+    u_peak = 1.0
+    for _ in range(60):
+        if g(2.0 * u_peak) < g(u_peak):
+            break
+        u_peak *= 2.0
+    peak_val = max(g(u_peak), g(u_peak / 2.0), g(2.0 * u_peak))
+    total, lo, hi = 0.0, 0.0, 4.0 * u_peak
+    for _ in range(72):
+        val = quad(g, lo, hi, epsrel=1e-8, epsabs=1e-300, limit=200)[0]
+        total += val
+        if g(hi) < 1e-16 * peak_val and abs(val) < 0.25e-8 * abs(total):
+            break
+        lo, hi = hi, 2.0 * hi
+    return total / math.pi
+
+
+def _tune_order(model, ctx):
+    # the order tune reads H at: one past the default series order, capped
+    return series_order_cap(model, ctx, 40) + 1
+
+
+# the 9 VG (model, maturity) pairs of the benchmark's quotes workload at the
+# order tune reads, the VG counterexample's H_1, BS at the table1 orders,
+# and one NIG and one FMLS case
+_HJ_PARENT_CASES = [
+    (VG(*p), MarketContext(100.0, 0.02, T), None)
+    for p in ((0.12, 0.2, 0.0), (0.12, 0.2, -0.14), (0.2, 0.2, -0.1))
+    for T in (1.25, 1.5, 2.0)
+] + [(VG(0.1, 0.2, 0.0), CTX_VG, 1)] + [
+    (BS(0.2), CTX, j + 1) for j in (10, 20, 30, 40, 50, 60, 70)
+] + [(NIG(2.0, 1.0), CTX, 9), (FMLS(1.5597, 0.1486), CTX, 5)]
+
+
+def _hj_case_id(case):
+    model, ctx, order = case
+    return f"{model!r}-T{ctx.T:g}-j{order or 'tune'}"
+
+
+@pytest.mark.parametrize("model,ctx,order", _HJ_PARENT_CASES,
+                         ids=[_hj_case_id(c) for c in _HJ_PARENT_CASES])
+def test_hj_numeric_keeps_the_bits_of_the_numpy_scalar_integrand(model, ctx,
+                                                                 order):
+    cf = centralized_cf(model, ctx)
+    order = _tune_order(model, ctx) if order is None else order
+    assert hj_numeric(cf, order).value.hex() == \
+        _hj_numeric_over_numpy_scalars(cf, order).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -247,29 +248,58 @@ def test_support_prices_equal_full_vector_fsums(model, T, payoff):
     assert [p.hex() for p in got] == want
 
 
+def _nan_from(cf, u0):
+    """cf with phi nan at every |u| >= u0, as a power that overflows into
+    nan makes it"""
+    def phi(u):
+        return np.where(np.abs(u) >= u0, complex(math.nan, math.nan),
+                        cf.phi(u))[()]
+    return dataclasses.replace(cf, phi=phi)
+
+
+# VG with an integer T/nu, whose power numpy takes by products: they used
+# to overflow into nan from k = 4611 on at L = 10.002, where |phi| < 1e-308
+_VG_INT_CTX = MarketContext(100.0, 0.0, 64.0)
+_VG_INT = centralized_cf(VG(0.5, 1.0), _VG_INT_CTX)
+_VG_INT_NAN = _nan_from(_VG_INT, 4611 * (math.pi / (2.0 * 10.002)))
+
+
 def test_series_with_overflowing_phi_keeps_every_term():
-    # VG with an integer T/nu: numpy's integer power overflows into nan from
-    # k = 4611 on at L = 10.002 (where |phi| < 1e-308).  At N = 4611 only the
-    # odd last term is nan, so a support of even k would hide it; phi at the
+    # phi is nan from k = 4611 on at L = 10.002.  At N = 4611 only the odd
+    # last term is nan, so a support of even k would hide it; phi at the
     # last frequency is nan, and the series stays whole
-    ctx = MarketContext(100.0, 0.0, 64.0)
-    cf = centralized_cf(VG(0.5, 1.0), ctx)
-    with np.errstate(all="ignore"):
-        assert cos_engine._support(cf, 10.002, 4610) == range(0, 4611, 2)
-        assert cos_engine._support(cf, 10.002, 4611) == range(4612)
-        prices = cos_prices(cf, Put(100.0), ctx, 10.002, 10.002, [4610, 4611])
+    cf, ctx = _VG_INT_NAN, _VG_INT_CTX
+    assert cos_engine._support(cf, 10.002, 4610) == range(0, 4611, 2)
+    assert cos_engine._support(cf, 10.002, 4611) == range(4612)
+    prices = cos_prices(cf, Put(100.0), ctx, 10.002, 10.002, [4610, 4611])
     assert math.isfinite(prices[0]) and math.isnan(prices[1])
 
 
 def test_cos_price_refuses_a_non_finite_sum():
-    # the same VG at N = 5000 sums to nan: cos_prices returns it as it is,
+    # the same phi at N = 5000 sums to nan: cos_prices returns it as it is,
     # and cos_price raises a typed error naming the model and N
-    ctx = MarketContext(100.0, 0.0, 64.0)
-    cf = centralized_cf(VG(0.5, 1.0), ctx)
-    with np.errstate(all="ignore"):
-        assert math.isnan(cos_prices(cf, Put(100.0), ctx, 10.0, 10.0, [5000])[0])
-        with pytest.raises(NonFinitePrice, match=r"VG\(sigma=0\.5.*N = 5000"):
-            cos_price(cf, Put(100.0), ctx, CosParameters(10.0, 10.0, 5000))
+    cf, ctx = _VG_INT_NAN, _VG_INT_CTX
+    assert math.isnan(cos_prices(cf, Put(100.0), ctx, 10.0, 10.0, [5000])[0])
+    with pytest.raises(NonFinitePrice, match=r"VG\(sigma=0\.5.*N = 5000"):
+        cos_price(cf, Put(100.0), ctx, CosParameters(10.0, 10.0, 5000))
+
+
+def test_integer_power_vg_prices_past_its_overflow():
+    # VG's own phi stays finite past k = 4611, so the support keeps only
+    # the even k of its real phi, and the prices up to there keep their
+    # bits.  The certified put (tune at derivative order 4, N = 310 541)
+    # is within its tolerance of 96.55148268345850362, a 30-digit mpmath
+    # Lewis quadrature
+    cf, ctx = _VG_INT, _VG_INT_CTX
+    assert cos_engine._support(cf, 10.002, 4611) == range(0, 4612, 2)
+    prices = cos_prices(cf, Put(100.0), ctx, 10.002, 10.002, [4610, 4611])
+    nan_phi = cos_prices(_VG_INT_NAN, Put(100.0), ctx, 10.002, 10.002, [4610])
+    assert prices[0].hex() == nan_phi[0].hex() == prices[1].hex()
+    params = tune(TuningRequest(cf.model, ctx, payoff_bound=100.0, tol=1e-10,
+                                series_order=4))
+    assert params.N == 310541
+    price = cos_price(cf, Put(100.0), ctx, params).price
+    assert abs(price - 96.55148268345850362) <= 1e-10
 
 
 def test_coefficients_on_a_range_are_the_full_vector_entries():

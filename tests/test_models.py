@@ -178,8 +178,9 @@ def test_centering_fmls_heavy_tail_rate():
     assert abs(mean.real) <= 1e-3
 
 
-# the complex-typed CFs, with VG both symmetric and drifted and at a short
-# and a long maturity
+# the complex-typed CFs, with VG both symmetric and drifted, at a short and
+# a long maturity, and with an integer T/nu whose power numpy takes by
+# products, which overflow past |x| = 720
 _SCALAR_PATH_CFS = [
     centralized_cf(model, ctx) for model, ctx in (
         (BS(0.2), CTX),
@@ -189,6 +190,7 @@ _SCALAR_PATH_CFS = [
         (VG(0.12, 0.2, 0.0), MarketContext(100.0, 0.02, 1.5)),
         (VG(0.12, 0.3, -0.1), CTX),
         (VG(0.12, 0.2, -0.14), CTX_VG),
+        (VG(0.5, 1.0, 0.0), MarketContext(100.0, 0.0, 64.0)),
         (FMLS(1.5597, 0.1486), CTX),
     )
 ]
@@ -208,13 +210,13 @@ def _bits(value):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.sampled_from(_SCALAR_PATH_CFS), _REAL_POINTS)
 def test_real_scalar_phi_equals_0d_array_bit_for_bit(cf, x):
-    # a real scalar runs phi as NumPy scalar math; it must give the value of
+    # a real scalar runs phi in Python scalars; it must give the value of
     # the 0-d array path exactly (a 1-element array is not the reference:
     # the vector loop may fuse multiply-adds)
     expected = _bits(cf.phi(np.asarray(x)))
     for arg in (float(x), np.float64(x)):
         value = cf.phi(arg)
-        assert isinstance(value, np.complex128)
+        assert isinstance(value, complex)
         assert _bits(value) == expected, (cf.model, cf.T, x)
 
 
@@ -255,18 +257,27 @@ def test_phi_keeps_the_bits_of_the_plain_expression(model, T):
     # a real scalar gives the plain expression's value on np.complex128(x),
     # and an array its value on the complex array; the scalar also equals
     # the 1-element array, except for drifted VG, whose two complex factors
-    # the vector loop multiplies with fused multiply-adds
+    # the vector loop multiplies with fused multiply-adds.  Where the plain
+    # value is not finite at |x| >= zero_from, phi gives the 0 it rounds to
     cf = centralized_cf(model, MarketContext(100.0, 0.02, T))
     xs = np.array(_SCALAR_POINTS)
     drifted = isinstance(model, VG) and model.theta != 0.0
+
+    def expected(plain_values, x):
+        plain_values = np.asarray(plain_values)
+        return np.where(~np.isfinite(plain_values) & (abs(x) >= cf.zero_from),
+                        0j, plain_values)
+
     with np.errstate(all="ignore"):
         if not isinstance(model, (Stable, Cauchy)):
             plain = _plain_phi(model, T)
-            assert _bits(cf.phi(xs)) == _bits(plain(xs.astype(complex)))
+            assert _bits(cf.phi(xs)) == _bits(
+                expected(plain(xs.astype(complex)), xs))
         for x in _SCALAR_POINTS:
             value = cf.phi(x)
             if not isinstance(model, (Stable, Cauchy)):
-                assert _bits(value) == _bits(plain(np.complex128(x))), x
+                assert _bits(value) == _bits(
+                    expected(plain(np.complex128(x)), x)), x
             if not drifted:
                 assert _bits(value) == _bits(cf.phi(np.array([x]))[0]), x
 
@@ -312,11 +323,47 @@ def test_phi_flagged_real_has_exactly_zero_imaginary_part(case, L, ks):
                        or (isinstance(model, VG) and model.theta == 0.0)
                        or (isinstance(model, Stable) and model.beta == 0.0))
     if cf.real:
-        # numpy's integer powers overflow into nan where |phi| < 1e-308 (VG
-        # with integer T/nu); the engine keeps such a series whole
-        with np.errstate(all="ignore"):
-            values = cf.phi(_grid(L, np.arange(4097).tolist() + ks))
-        assert np.all(values.imag[np.isfinite(values)] == 0.0)
+        # finite everywhere, VG with an integer T/nu included, whose power
+        # numpy takes by products that overflow where |phi| < 1e-308
+        values = cf.phi(_grid(L, np.arange(4097).tolist() + ks))
+        assert np.all(np.isfinite(values))
+        assert np.all(values.imag == 0.0)
+
+
+def test_integer_power_vg_phi_is_finite_past_its_overflow():
+    # VG(0.5, 1) at T = 64: numpy takes base^-64 by products, which overflow
+    # into nan for |base| > 64 938, at 196 of the 2 501 even-k nodes of
+    # L = 10, N = 5000.  There phi is exp(-64 log(base)), checked against
+    # mpmath at 30 digits; the scalar gives the array's value, and every
+    # other node keeps the plain expression's bits
+    cf = centralized_cf(VG(0.5, 1.0), MarketContext(100.0, 0.0, 64.0))
+    u = _grid(10.0, np.arange(0, 5001, 2))
+    with np.errstate(all="ignore"):
+        plain = _plain_phi(cf.model, cf.T)(u.astype(complex))
+    overflowed = ~np.isfinite(plain)
+    assert overflowed.sum() == 196
+    values = cf.phi(u)
+    assert _bits(values[~overflowed]) == _bits(plain[~overflowed])
+    mp.mp.dps = 30
+    for x, value in zip(u[overflowed], values[overflowed]):
+        exact = (1 + mp.mpf(0.125) * mp.mpf(x) ** 2) ** -64
+        assert value.imag == 0.0
+        assert abs(value.real - exact) <= 1e-12 * exact + 1e-322, x
+        assert _bits(cf.phi(float(x))) == _bits(value)
+
+
+@pytest.mark.parametrize("model,T", [(FMLS(1.5597, 0.1486), 1.0),
+                                     (FMLS(1.5, 0.2), 1.0),
+                                     (FMLS(1.05, 0.3), 2.0)])
+def test_fmls_phi_is_zero_where_its_power_overflows(model, T):
+    # |u|^alpha overflows far past zero_from, and phi gives the 0 it rounds
+    # to there, not nan, on arrays and on scalars
+    cf = centralized_cf(model, MarketContext(100.0, 0.02, T))
+    far = np.array([1e200, 1e250, 1e300, -1e300])
+    assert np.all(abs(far) >= cf.zero_from)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(cf.phi(far) == 0.0)
+        assert all(cf.phi(float(x)) == 0.0 for x in far)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
