@@ -16,7 +16,7 @@ from .cos_engine import (Call, CosParameters, DigitalBelow, Payoff,
 from .models import (BS, FMLS, NIG, VG, Cauchy, CentralizedCF, HeavyTail,
                      MarketContext, ModelSpec, SemiHeavyTail, Stable,
                      TailProfile, centralized_cf, tail_profile)
-from .tuning import TuningRequest, minimize_series_order, tune
+from .tuning import TuningRequest, tune
 
 # What a user calls: models, payoffs, tune and cos_price, and the derivative
 # bounds that `tune(req, h_next=...)` takes.  Oracles, coefficient internals
@@ -34,5 +34,5 @@ __all__ = [
     # bounds
     "DerivativeBound", "HjSource", "hj_closed_form", "hj_numeric",
     # tuning
-    "TuningRequest", "tune", "minimize_series_order",
+    "TuningRequest", "tune",
 ]

@@ -16,7 +16,7 @@ from scipy.special import gammaln
 
 from .errors import IntegralDiverged, NoClosedForm, NoSmoothness, QuadratureFailure
 from .models import (BS, NIG, VG, CentralizedCF, MarketContext, ModelSpec,
-                     stable_law)
+                     bilateral_gamma, stable_law)
 
 __all__ = [
     "HjSource", "DerivativeBound", "hj_closed_form", "series_order_cap",
@@ -81,12 +81,14 @@ def hj_closed_form(model: ModelSpec, ctx: MarketContext, order: int) -> Derivati
 
 def series_order_cap(model: ModelSpec, ctx: MarketContext, order: int) -> int:
     """The series order clamped to the density's smoothness (0 selects the
-    square-root rule).  VG at horizon T has bounded derivatives up to order
-    J + 1 for J + 2 < 2T/nu, and raises NoSmoothness without even one; the
-    other models' densities are smooth."""
+    square-root rule).  VG at horizon T, with k the shape of its
+    `bilateral_gamma` laws, has bounded derivatives up to order J + 1 for
+    J + 2 < 2k, and raises NoSmoothness without even one; the other models'
+    densities are smooth."""
     if not isinstance(model, VG):
         return order
-    limit = 2.0 * ctx.T / model.nu - 2.0
+    k, _, _ = bilateral_gamma(model, ctx.T)
+    limit = 2.0 * k - 2.0
     if limit <= 0.0:
         raise NoSmoothness(
             f"VG density at T={ctx.T} (nu={model.nu}) lacks a bounded "

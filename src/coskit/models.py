@@ -22,7 +22,7 @@ __all__ = [
     "BS", "NIG", "VG", "FMLS", "Stable", "Cauchy", "ModelSpec",
     "MarketContext", "CentralizedCF", "SemiHeavyTail", "HeavyTail",
     "TailProfile", "centralized_cf", "log_price_cf", "tail_profile",
-    "central_moment", "cumulants", "stable_law",
+    "central_moment", "cumulants", "stable_law", "bilateral_gamma",
     "pareto_amplitude",
 ]
 
@@ -168,6 +168,22 @@ def stable_law(model: ModelSpec, T: float) -> Stable | None:
     if isinstance(model, FMLS):
         return Stable(model.alpha, -1.0, model.sigma * T ** (1.0 / model.alpha))
     return Stable(1.0, 0.0, 1.0) if isinstance(model, Cauchy) else None
+
+
+def bilateral_gamma(model: VG, T: float) -> tuple[float, float, float]:
+    """(k, eta+, eta-): the centralized VG log-return at horizon T plus
+    theta T is G+ - G-, independent gamma laws of shape k = T/nu and scales
+    eta+-, so phi's base 1 - i theta nu u + sigma^2 nu u^2/2 is
+    (1 - i eta+ u)(1 + i eta- u), with eta+ - eta- = theta nu and
+    eta+ eta- = sigma^2 nu/2.  The larger scale is a sum and the smaller
+    the product over it, so neither cancels."""
+    s, nu, th = model.sigma, model.nu, model.theta
+    product = s * s * nu / 2.0
+    if product == 0.0:
+        raise ModelParameterError(f"VG sigma^2 nu / 2 = {product} underflows")
+    big = math.sqrt(th * th * nu * nu / 4.0 + product) + abs(th) * nu / 2.0
+    small = product / big
+    return (T / nu, big, small) if th >= 0.0 else (T / nu, small, big)
 
 
 # ---------------------------------------------------------------------------
@@ -465,25 +481,27 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         zero = math.inf
         if c_a * sys.float_info.max > _CUT_EXPONENT:
             zero = _zero_from(a, c, rel=_REL_ROUNDING + 2.0 ** -48 * abs(sec))
+        # up to |u| = quiet neither |(i u)^a| nor its product with coef
+        # passes max/4, a few roundings short of overflow
+        quiet = (sys.float_info.max / 4.0 / max(1.0, abs(coef))) ** (1.0 / a)
 
         def phi(u):
             # exp(-c^alpha * sec(pi a/2) * (i u)^alpha), principal branch;
             # equals the stable CF with beta = -1 on the real axis and extends
             # analytically to Im(u) <= 0.
-            if isinstance(u, float):
-                e = coef * (u * _NUMPY_I) ** a
-                if cmath.isfinite(e):
-                    return cmath.exp(e)
-                value = np.exp(e)
-                return 0j if abs(u) >= zero and not cmath.isfinite(value) \
-                    else value
+            if isinstance(u, float) and abs(u) <= quiet:
+                return cmath.exp(coef * (u * _NUMPY_I) ** a)
             u = _complex_arg(u)
-            value = np.exp(coef * (1j * u) ** a)
+            # past quiet (i u)^a or its product with coef may overflow into
+            # nan, which warns of nothing and is mended below past zero_from
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = np.exp(coef * (1j * u) ** a)
             # a real u makes |phi| <= 1, so the sum of the real parts is
             # finite unless some value is not
             if zero < math.inf and not math.isfinite(value.real.sum()):
+                # [()] turns where's 0-d result for a scalar back into one
                 value = np.where((u.imag == 0.0) & (abs(u.real) >= zero)
-                                 & ~np.isfinite(value), 0j, value)
+                                 & ~np.isfinite(value), 0j, value)[()]
             return value
 
         mu = math.log(ctx.S0) + ctx.r * T + _fmls_log_moment_shift(model, T) * T
@@ -573,8 +591,8 @@ def _log_tail(model: NIG | VG, T: float) -> tuple[float, float, float]:
     (DLMF 10.40(ii)) and x + rho <= 2 rho leave rho^-1.5
     e^(-alpha dT^2/(2 rho)), which peaks at rho = alpha dT^2/3.
 
-    VG, rate 0.9 lambda: X + theta T = G+ - G-, gamma laws of shape k = T/nu
-    and scales eta+- (phi's base is (1 - i eta+ u)(1 + i eta- u)).  For
+    VG, rate 0.9 lambda: X + theta T = G+ - G-, the gamma laws of shape k
+    and scales eta+- of its `bilateral_gamma`, lambda = 1/max(eta+-).  For
     y >= y0, f(y) e^(rate y) <= sup_{w >= y0} g+(w) e^(rate w) times
     E[e^(-rate G-)] = (1 + rate eta-)^-k, where g+(w) e^(rate w) is
     w^(k-1) e^(-(1/eta+ - rate) w) / (Gamma(k) eta+^k); y0 > 0 for k <= 1.
@@ -596,11 +614,11 @@ def _log_tail(model: NIG | VG, T: float) -> tuple[float, float, float]:
     s, nu, th = model.sigma, model.nu, model.theta
     if s ** 4 == 0.0 or s * s * nu == 0.0:
         raise ModelParameterError("VG sigma^4 or sigma^2 nu underflows")
-    big = math.sqrt(th * th * nu * nu / 4.0 + s * s * nu / 2.0) + abs(th) * nu / 2.0
-    small = s * s * nu / 2.0 / big  # eta+ eta- = sigma^2 nu / 2, uncancelled
-    # the slower decay rate 1/big, which sqrt(theta^2/sigma^4 + 2/(sigma^2
-    # nu)) - |theta|/sigma^2 equals but loses to cancellation
-    lam = 1.0 / big
+    k, eta_up, eta_down = bilateral_gamma(model, T)
+    # the slower decay rate, which sqrt(theta^2/sigma^4 + 2/(sigma^2 nu))
+    # - |theta|/sigma^2 equals but loses to cancellation; at theta = 0 the
+    # two scales may differ by an ulp, and eta+ stands for both
+    lam = 1.0 / (eta_up if th >= 0.0 else eta_down)
     if not lam > 0.0:
         raise ModelParameterError(f"VG tail decay rate rounds to {lam}")
     rate = 0.9 * lam  # strict slack absorbs the polynomial tail factor
@@ -609,8 +627,6 @@ def _log_tail(model: NIG | VG, T: float) -> tuple[float, float, float]:
         raise ModelParameterError(
             f"VG variance (sigma^2 + nu theta^2) T = {var} underflows")
     onset = 6.0 * math.sqrt(var)
-    k = T / nu
-    eta_up, eta_down = (big, small) if th >= 0.0 else (small, big)
 
     def side(eta, eta_other, y0):
         c = 1.0 / eta - rate
@@ -678,16 +694,16 @@ def tail_profile(model: ModelSpec, ctx: MarketContext) -> TailProfile:
 # ---------------------------------------------------------------------------
 
 _MAX_MOMENT_ORDER = 8
-# samples of log(phi) on log_cf_cumulants' circle
-_CUMULANT_POINTS = 64
 
 
 def cumulants(model: ModelSpec, ctx: MarketContext) -> dict:
-    """Cumulants (orders 2..8) of the centralized NIG and VG log-returns.
+    """Cumulants (orders 2..8) of the centralized NIG and VG log-returns, in
+    closed form.
 
-    NIG and drift-free VG use exact closed forms; VG with drift falls back
-    to polynomial-fit differentiation of log(phi) near zero.  BS moments
-    come in closed form from `central_moment`.
+    Symmetric NIG: kappa_2m = (2m-3)!! (2m-1)!! delta T / alpha^(2m-1).  VG,
+    with the shape k and scales eta+- of its `bilateral_gamma`:
+    kappa_n = k (n-1)! (eta+^n + (-eta-)^n), the sum of two gamma laws'
+    cumulants.  BS moments come in closed form from `central_moment`.
     """
     T = ctx.T
     if isinstance(model, NIG):
@@ -695,40 +711,10 @@ def cumulants(model: ModelSpec, ctx: MarketContext) -> dict:
         return {2: d * T / a, 3: 0.0, 4: 3.0 * d * T / a ** 3, 5: 0.0,
                 6: 45.0 * d * T / a ** 5, 7: 0.0, 8: 1575.0 * d * T / a ** 7}
     if isinstance(model, VG):
-        s, nu, th = model.sigma, model.nu, model.theta
-        if th == 0.0:
-            return {2: s * s * T, 3: 0.0, 4: 3.0 * s ** 4 * nu * T, 5: 0.0,
-                    6: 30.0 * s ** 6 * nu ** 2 * T, 7: 0.0,
-                    8: 630.0 * s ** 8 * nu ** 3 * T}
-
-        def log_phi(u):
-            return -(T / nu) * np.log(1.0 - 1j * th * nu * u + 0.5 * s * s * nu * u * u)
-
-        # nearest singularity of log(phi): smaller root of the quadratic base
-        d_min = (math.sqrt(th * th * nu * nu + 2.0 * s * s * nu) - abs(th) * nu) \
-            / (s * s * nu)
-        if not d_min > 0.0:
-            raise ModelParameterError(f"VG cumulant radius rounds to {d_min}")
-        return log_cf_cumulants(log_phi, 0.5 * d_min)
+        k, up, down = bilateral_gamma(model, T)
+        return {n: k * math.factorial(n - 1) * (up ** n + (-down) ** n)
+                for n in range(2, _MAX_MOMENT_ORDER + 1)}
     raise MomentDoesNotExist(f"no cumulant table for {model!r}")
-
-
-def log_cf_cumulants(log_phi, radius: float) -> dict:
-    """Cumulants up to order 8 from samples of log(phi) on a complex circle.
-
-    Trapezoidal Fourier extraction of the Taylor coefficients around zero;
-    exponentially accurate when log(phi) is analytic on the closed disc of
-    the given radius (choose it safely inside the nearest singularity).
-    """
-    angles = 2.0 * math.pi * np.arange(_CUMULANT_POINTS) / _CUMULANT_POINTS
-    z = radius * np.exp(1j * angles)
-    vals = np.asarray(log_phi(z), dtype=complex)
-    coef = np.fft.fft(vals) / _CUMULANT_POINTS  # coef[m] = c_m * radius^m
-    out = {}
-    for m in range(2, _MAX_MOMENT_ORDER + 1):
-        km = coef[m] / radius ** m * math.factorial(m) / (1j ** m)
-        out[m] = float(km.real)
-    return out
 
 
 def _central_moments_from_cumulants(k: dict) -> dict:

@@ -22,7 +22,7 @@ from .errors import (NoClosedForm, NoSmoothness, NotReachedWithinCap,
 from .models import (HeavyTail, MarketContext, ModelSpec, SemiHeavyTail,
                      TailProfile, central_moment, centralized_cf, tail_profile)
 
-__all__ = ["TuningRequest", "tune", "minimize_series_order"]
+__all__ = ["TuningRequest", "tune"]
 
 # the largest derivative order an order scan tries
 _MAX_ORDER = 120
@@ -202,13 +202,3 @@ def tune(req: TuningRequest, h_next: DerivativeBound | None = None) -> CosParame
         M=M, L=L, N=N, tol=req.tol,
         provenance={**provenance,
                     "N": f"{rule}, H_{j + 1} from {bound.source.value}"})
-
-
-def minimize_series_order(req: TuningRequest) -> tuple[int, int]:
-    """Scan derivative orders 1.._MAX_ORDER and return (order, N) minimizing
-    the series-length bound; ties break toward the smaller order.
-
-    Needs closed-form derivative bounds for a cheap sweep.
-    """
-    _, L, xi, _ = _ranges(req, tail_profile(req.model, req.ctx))
-    return _best_order(req, L, xi)

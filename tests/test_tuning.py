@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext,
                            centralized_cf)
 from coskit.reference import (black_scholes_put, carr_madan_call, cauchy_cdf,
                               hj_density_sup)
-from coskit.tuning import TuningRequest, minimize_series_order, tune
+from coskit.tuning import TuningRequest, tune
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)
 
@@ -178,8 +180,16 @@ def test_series_lengths_decrease_then_flatten():
     assert max(ns[-3:]) - min(ns[-3:]) <= 2              # flat late
 
 
+def _scanned(req):
+    """(order, N) of tune(minimize_order=True), the order read from the
+    provenance of N."""
+    params = tune(dataclasses.replace(req, minimize_order=True))
+    order = re.search(r"derivative order (\d+),", params.provenance["N"])
+    return int(order.group(1)), params.N
+
+
 def test_full_scan_finds_global_minimum():
-    j_star, n_star = minimize_series_order(_bs_request(40))
+    j_star, n_star = _scanned(_bs_request(40))
     assert n_star <= 170
     # no scanned order does better, and ties break to the smallest order
     for j in range(1, 121):
@@ -191,7 +201,7 @@ def test_full_scan_finds_global_minimum():
 
 def test_scan_finite_at_large_orders():
     # the scan runs up to tuning._MAX_ORDER = 120
-    j_star, n_star = minimize_series_order(_bs_request(40))
+    j_star, n_star = _scanned(_bs_request(40))
     assert math.isfinite(n_star) and n_star >= 1
 
 
