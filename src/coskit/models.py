@@ -343,6 +343,46 @@ def _power_by_products(base, power: float, rot):
     return value
 
 
+def _real_grid_power(u: np.ndarray, a: float, turn_cos: float,
+                     turn_sin: float) -> np.ndarray:
+    """(1j * u) ** a bit for bit, for a float array of 0 <= u with u^a
+    at most max/4, without a complex power per node.
+
+    For a non-integer a numpy takes that power by libm's cpow, which glibc
+    computes as cexp(a clog(i u)).  At i u = +0 + iu, clog's real part is
+    that of clog(u + 0i), and its imaginary part is atan2(u, +0) = pi/2 at
+    every u > 0.  cexp then scales the cosine and sine of the phase
+    a atan2(1, 0), which turn_cos and turn_sin hold, by exp(a Re clog):
+    numpy's complex exp of a zero imaginary part is libm's real exp, and
+    below exp's overflow cexp rescales nothing.  So the atan2 and the
+    sincos of a constant at every node, and one complex exp, drop out.
+    At u = 0 numpy's power is an exact 0, which the log would make -0.
+    """
+    z = u.astype(complex)
+    with np.errstate(divide="ignore"):
+        np.log(z, out=z)
+    z.real *= a
+    np.exp(z, out=z)
+    np.multiply(z.real, turn_sin, out=z.imag)
+    z.real *= turn_cos
+    z[u == 0.0] = 0.0
+    return z
+
+
+def _vg_vanishes(model: VG, T: float, log_u):
+    """Whether |phi(u)| of the VG `centralized_cf` rounds to 0 at a real u
+    with log|u| = log_u (a float or an array).  -log|phi| = (T/nu)
+    log|base|, and |base| is at least sigma^2 nu u^2/2 (its real part) and
+    |theta nu u| (its imaginary part), whose logs cannot overflow; past
+    _UNDERFLOW_MARGIN exp rounds to 0 with room for their rounding."""
+    s, nu, th = model.sigma, model.nu, model.theta
+    log_base = 2.0 * (math.log(s) + log_u) + math.log(nu) - math.log(2.0)
+    if th != 0.0:
+        log_base = np.maximum(log_base,
+                              math.log(abs(th)) + math.log(nu) + log_u)
+    return T / nu * log_base >= _UNDERFLOW_MARGIN
+
+
 def _stable_cf(alpha: float, beta: float, scale: float):
     """CF of a centred stable law in the standard parameterization (real
     arguments)."""
@@ -455,12 +495,34 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
                         return _power_by_products(base + _NUMPY_IDENTITY,
                                                   power, rot)
                     return (base + _NUMPY_IDENTITY) ** power * rot
+                if _vg_vanishes(model, T, math.log(abs(u))):
+                    return np.complex128(0.0)
             u = _complex_arg(u)
-            base = 1.0 - drift * u + curv * u * u
-            rot = np.exp(-1j * u * th * T)
+            # a power by products may overflow into nan, and far out
+            # u theta T overflows and the phase exp(-i u theta T) is nan;
+            # neither warns, and both are mended below
+            with np.errstate(over="ignore", invalid="ignore"):
+                base = 1.0 - drift * u + curv * u * u
+                rot = np.exp(-1j * u * th * T)
+                value = base ** power * rot
+                # a real u makes |phi| <= 1, so the sum of the real parts
+                # is finite unless some value is not
+                if not math.isfinite(value.real.sum()):
+                    value = mend(value, u, base, rot)
+            return value
+
+        def mend(value, u, base, rot):
+            """value with each non-finite entry replaced where possible:
+            by exp(power log(base)) rot where a power by products
+            overflowed, and by 0 where the phase is not finite at a real u
+            and |phi| rounds to 0 there."""
             if by_products:
-                return _power_by_products(base, power, rot)
-            return base ** power * rot
+                value = _power_by_products(base, power, rot)
+            with np.errstate(divide="ignore"):
+                vanishes = _vg_vanishes(model, T, np.log(abs(u.real)))
+            # [()] turns where's 0-d result for a scalar back into one
+            return np.where((u.imag == 0.0) & ~np.isfinite(rot) & vanishes,
+                            0j, value)[()]
 
         mu = math.log(ctx.S0) + (ctx.r + w) * T + th * T
         return CentralizedCF(phi, mu, model, T, real=(th == 0.0),
@@ -484,6 +546,9 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         # up to |u| = quiet neither |(i u)^a| nor its product with coef
         # passes max/4, a few roundings short of overflow
         quiet = (sys.float_info.max / 4.0 / max(1.0, abs(coef))) ** (1.0 / a)
+        # the phase of (i u)^a at every u > 0: a times clog's atan2(u, +0)
+        turn = a * math.atan2(1.0, 0.0)
+        turn_cos, turn_sin = math.cos(turn), math.sin(turn)
 
         def phi(u):
             # exp(-c^alpha * sec(pi a/2) * (i u)^alpha), principal branch;
@@ -491,17 +556,24 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
             # analytically to Im(u) <= 0.
             if isinstance(u, float) and abs(u) <= quiet:
                 return cmath.exp(coef * (u * _NUMPY_I) ** a)
+            if (isinstance(u, np.ndarray) and u.dtype == np.float64
+                    and u.ndim == 1 and u.size
+                    and 0.0 <= u.min() and u.max() <= quiet):
+                z = _real_grid_power(u, a, turn_cos, turn_sin)
+                return np.exp(np.multiply(z, coef, out=z), out=z)
             u = _complex_arg(u)
             # past quiet (i u)^a or its product with coef may overflow into
-            # nan, which warns of nothing and is mended below past zero_from
+            # nan, which warns of nothing and is mended below where |phi|
+            # = exp(-(c |u|)^a) rounds to 0 (at every |u| >= zero_from)
             with np.errstate(over="ignore", invalid="ignore"):
                 value = np.exp(coef * (1j * u) ** a)
-            # a real u makes |phi| <= 1, so the sum of the real parts is
-            # finite unless some value is not
-            if zero < math.inf and not math.isfinite(value.real.sum()):
-                # [()] turns where's 0-d result for a scalar back into one
-                value = np.where((u.imag == 0.0) & (abs(u.real) >= zero)
-                                 & ~np.isfinite(value), 0j, value)[()]
+                # a real u makes |phi| <= 1, so the sum of the real parts is
+                # finite unless some value is not
+                if not math.isfinite(value.real.sum()):
+                    vanishes = np.exp(-(c * abs(u.real)) ** a) == 0.0
+                    # [()] turns where's 0-d result for a scalar back into one
+                    value = np.where((u.imag == 0.0) & vanishes
+                                     & ~np.isfinite(value), 0j, value)[()]
             return value
 
         mu = math.log(ctx.S0) + ctx.r * T + _fmls_log_moment_shift(model, T) * T
@@ -612,8 +684,6 @@ def _log_tail(model: NIG | VG, T: float) -> tuple[float, float, float]:
                 + math.log1p(3.0 / (8.0 * a * rho0))), a, onset
 
     s, nu, th = model.sigma, model.nu, model.theta
-    if s ** 4 == 0.0 or s * s * nu == 0.0:
-        raise ModelParameterError("VG sigma^4 or sigma^2 nu underflows")
     k, eta_up, eta_down = bilateral_gamma(model, T)
     # the slower decay rate, which sqrt(theta^2/sigma^4 + 2/(sigma^2 nu))
     # - |theta|/sigma^2 equals but loses to cancellation; at theta = 0 the
@@ -634,6 +704,9 @@ def _log_tail(model: NIG | VG, T: float) -> tuple[float, float, float]:
             raise ModelParameterError(f"VG tail rate {rate:.6g} is not below "
                                       f"the decay rate {1.0 / eta:.6g}")
         w = max((k - 1.0) / c, y0) if k > 1.0 else y0
+        if not w > 0.0:  # 1/eta overflows, and the peak of g+ rounds to 0
+            raise ModelParameterError(f"VG gamma scale {eta:.6g} is too "
+                                      "small for a tail bound")
         return ((k - 1.0) * math.log(w) - c * w - math.lgamma(k)
                 - k * math.log(eta) - k * math.log1p(rate * eta_other))
 

@@ -3,6 +3,7 @@ import math
 import os
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,7 +15,8 @@ from coskit.harness import (EXPERIMENT_IDS, ExperimentConfig, cli_main,
                             run_convergence, run_convergence_experiment,
                             run_experiment, run_l_optimal, run_table1,
                             run_vg_counterexample, write_csv)
-from coskit.models import BS, Cauchy, MarketContext, centralized_cf
+from coskit.models import (BS, VG, Cauchy, MarketContext, bilateral_gamma,
+                           centralized_cf)
 from coskit.reference import black_scholes_call, black_scholes_put, cauchy_cdf
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)
@@ -256,7 +258,7 @@ def test_cli_exit_codes(capsys):
     # a sweep too short to fit
     assert cli_main(["experiment", "--id", "l_optimal",
                      "--n-max-exp", "3"]) == 2
-    # a variance or tail rate that underflows to 0
+    # a variance, tail rate or moment that underflows to 0
     for args in (["--sigma", "5e-324"], ["--sigma", "1e-162"],
                  ["--sigma", "0.2", "--T", "5e-324"]):
         assert cli_main(["tune", "--model", "bs", "--eps", "1e-8"] + args) == 2
@@ -304,6 +306,31 @@ def test_cli_exit_codes(capsys):
                      "--eps", "1e-10"]) == 0
     assert "price = 96.55148268\nM = 249.6527905  L = 249.6527905  " \
         "N = 310541\n" in capsys.readouterr().out
+
+
+def test_tiny_sigma_drifted_vg_certifies_a_gamma_law_price(capsys):
+    # sigma^4 = 1e-340 underflows, sigma^2 nu does not: X + theta T is a
+    # gamma law of shape T/nu and scale eta+ = 0.015 minus one of scale
+    # 1.7e-170, which is 0 to every digit here, so the put is a gamma-law
+    # integral, taken by mpmath at 30 digits
+    argv = ["price", "--model", "vg", "--sigma", "1e-85", "--nu", "0.05",
+            "--theta", "0.3", "--T", "10", "--j", "40", "--n", "2",
+            "--eps", "1e-4"]
+    assert cli_main(argv) == 0
+    price = float(capsys.readouterr().out.split()[2])
+    model = VG(1e-85, 0.05, 0.3)
+    k, eta, _ = bilateral_gamma(model, 10.0)
+    mu = centralized_cf(model, MarketContext(100.0, 0.0, 10.0)).mu
+    with mp.workdps(30):
+        k, eta = mp.mpf(k), mp.mpf(eta)
+        shift = mp.mpf(mu) - mp.mpf(0.3) * 10
+
+        def put(g):
+            return ((100 - mp.exp(shift + g)) * g ** (k - 1) * mp.exp(-g / eta)
+                    / (mp.gamma(k) * eta ** k))
+
+        ref = mp.quad(put, [0, mp.log(100) - shift])
+    assert abs(price - ref) <= 1e-4
 
 
 # stdout of the CLI as recorded before `price` and `tune` shared their

@@ -368,6 +368,64 @@ def test_fmls_phi_is_zero_where_its_power_overflows(model, T):
     assert all(cf.phi(float(x)) == 0.0 for x in far)
 
 
+_FMLS_ALPHAS = st.one_of(st.just(1.0 + 1e-13), st.just(2.0 - 1e-13),
+                        st.floats(1.0, 2.0, exclude_min=True,
+                                  exclude_max=True))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_FMLS_ALPHAS, st.floats(0.01, 2.0), st.floats(0.01, 10.0),
+       st.floats(0.1, 1e6), st.integers(1, 20_000))
+def test_fmls_phi_on_a_cos_grid_keeps_the_complex_power_bits(a, sigma, T,
+                                                             L, n):
+    # a real array in [0, quiet] skips numpy's complex power per node; phi
+    # must still be exp(coef (1j u)^a) word for word, at u = 0, subnormal
+    # u, the cut and quiet included.  It rests on libm's cpow being
+    # cexp(a clog(i u)), as glibc's is
+    model = FMLS(a, sigma)
+    cf = centralized_cf(model, MarketContext(100.0, 0.0, T))
+    c = sigma * T ** (1.0 / a)
+    coef = -(c ** a) * (1.0 / math.cos(math.pi * a / 2.0))
+    quiet = (sys.float_info.max / 4.0 / max(1.0, abs(coef))) ** (1.0 / a)
+    extra = [0.0, 5e-324, 1e-310, 2.2e-308, quiet]
+    if cf.zero_from < math.inf:
+        extra.append(cf.zero_from)
+    u = np.concatenate([_grid(L, np.arange(n + 1)), extra])
+    expected = np.exp(coef * (1j * u.astype(complex)) ** a)
+    assert np.array_equal(cf.phi(u).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_fmls_phi_is_zero_far_out_without_a_cut():
+    # alpha within 1e-13 of 1 has no cut, but where (i u)^a overflows
+    # exp(-(c |u|)^a) still rounds to 0, and so does phi, silently
+    cf = centralized_cf(FMLS(1.0000000000001, 0.2),
+                        MarketContext(100.0, 0.0, 1.0))
+    assert math.isinf(cf.zero_from)
+    assert cf.phi(1e300) == 0.0
+    values = cf.phi(np.array([1.0, 1e300, -1e300]))
+    assert np.isfinite(values[0]) and np.all(values[1:] == 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_drifted_vg_phi_is_zero_where_its_phase_overflows():
+    # u theta T overflows past u = 1.7e308 / 17.7, so the phase is nan; phi
+    # gives the 0 that |phi| rounds to there, silently, on both paths, and
+    # keeps the bits of every other value
+    cf = centralized_cf(VG(0.387, 0.623, 0.293),
+                        MarketContext(100.0, 0.0, 60.4))
+    far = [1.7e308, -1.7e308, 1e308]
+    assert all(cf.phi(x) == 0.0 for x in far)
+    values = cf.phi(np.array([1.0, 3.5] + far))
+    assert np.all(values[2:] == 0.0)
+    assert _bits(values[:2]) == _bits(
+        _plain_phi(cf.model, cf.T)(np.array([1.0, 3.5], dtype=complex)))
+    # with T/nu = 0.3, |phi(1.7e308)| is about 1e-185: no phase, no value
+    cf = centralized_cf(VG(0.2, 10.0, -0.5), MarketContext(100.0, 0.0, 3.0))
+    assert np.isnan(cf.phi(1.7e308))
+    assert np.isnan(cf.phi(np.array([1.7e308]))).all()
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_FACT_CASES, st.integers(1, 2 ** 20),
        st.lists(st.integers(0, 2 ** 25), max_size=64))
@@ -704,6 +762,19 @@ def test_vg_tail_rate_is_the_slower_decay_rate(params):
     rate = models._log_tail(VG(*params), 1.0)[1]
     want = 0.9 * _vg_slower_decay(*params)
     assert abs(rate - want) <= 1e-15 * want, (params, rate, want)
+
+
+def test_vg_tail_needs_no_finite_sigma_to_the_fourth():
+    # sigma^4 underflows below sigma = 1e-81, but no tail formula reads it:
+    # the gamma scales of `bilateral_gamma` are finite and so is the
+    # profile.  Where 1/eta- overflows the density peak is past every
+    # float, and the refusal names the scale
+    prof = tail_profile(VG(1e-90, 0.2, 0.3), MarketContext(100.0, 0.0, 1.5))
+    assert isinstance(prof, SemiHeavyTail)
+    assert prof.rate == 0.9 / models.bilateral_gamma(VG(1e-90, 0.2, 0.3),
+                                                     1.5)[1]
+    with pytest.raises(ModelParameterError, match="VG gamma scale 1.66667e-310"):
+        tail_profile(VG(1e-155, 0.05, 0.3), MarketContext(100.0, 0.0, 10.0))
 
 
 def test_cauchy_heavy_bound_dominates_density_exactly():
