@@ -6,7 +6,6 @@ whose characteristic function phi satisfies phi(0) = 1, |phi| <= 1 and Hermitian
 symmetry.  Pricing code only ever sees (phi, mu) with mu = E[log(S_T)].
 """
 
-import bisect
 import cmath
 import math
 import sys
@@ -21,9 +20,8 @@ from .errors import ModelParameterError, MomentDoesNotExist
 __all__ = [
     "BS", "NIG", "VG", "FMLS", "Stable", "Cauchy", "ModelSpec",
     "MarketContext", "CentralizedCF", "SemiHeavyTail", "HeavyTail",
-    "TailProfile", "centralized_cf", "log_price_cf", "tail_profile",
-    "central_moment", "cumulants", "stable_law", "bilateral_gamma",
-    "pareto_amplitude",
+    "TailProfile", "centralized_cf", "tail_profile", "central_moment",
+    "cumulants", "stable_law", "bilateral_gamma",
 ]
 
 
@@ -289,7 +287,7 @@ def _strip_phi_underflows(law: Stable, gamma: float, u: float) -> bool:
     cancellation in u^2 - gamma^2.  Past its sign change the exponent and
     |cos(a theta)| both grow with u, so where this holds it holds at every
     larger u.  Valid only where the real-axis cut is (zero_from finite);
-    `_damped_support` applies it only there.
+    `reference._damped_support` applies it only there.
     """
     a = law.alpha
     cos = math.cos(a * math.atan2(u, gamma))
@@ -303,28 +301,6 @@ def _strip_phi_underflows(law: Stable, gamma: float, u: float) -> bool:
     return (a * math.log(law.scale * math.hypot(gamma, u))
             + math.log(cos / math.cos(math.pi * a / 2.0))
             >= math.log(_CUT_EXPONENT))
-
-
-def _damped_support(cf: CentralizedCF, gamma: float, u: np.ndarray) -> int:
-    """The number of leading nodes of the ascending u >= 0 where the
-    damped `log_price_cf(cf)(u - i gamma)` can be nonzero.
-
-    For BS and FMLS these are the nodes before the first one where
-    `_strip_phi_underflows` holds, which it then does at every later one.
-    It is every node for any other model, for BS or FMLS without a
-    certified real-axis cut (cf.zero_from inf; a finite one also makes the
-    scale of their `stable_law` a positive finite float), and where
-    e^(gamma mu), by which `log_price_cf` scales phi, overflows: a zero
-    phi then makes a NaN node, not a zero one."""
-    if not isinstance(cf.model, (BS, FMLS)) or math.isinf(cf.zero_from):
-        return u.size
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.exp(gamma * cf.mu)):
-            return u.size
-    law = stable_law(cf.model, cf.T)
-    return bisect.bisect_left(
-        range(u.size), True,
-        key=lambda i: _strip_phi_underflows(law, gamma, float(u[i])))
 
 
 def _power_by_products(base, power: float, rot):
@@ -598,14 +574,6 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
                                                   _REL_ROUNDING))
 
     raise ModelParameterError(f"unsupported model {model!r}")
-
-
-def log_price_cf(cf: CentralizedCF) -> Callable[[np.ndarray], np.ndarray]:
-    """CF of log(S_T) itself: u -> exp(i*u*mu) * phi(u)."""
-    def phi_log(u):
-        u = np.asarray(u, dtype=complex)
-        return np.exp(1j * u * cf.mu) * cf.phi(u)
-    return phi_log
 
 
 # ---------------------------------------------------------------------------

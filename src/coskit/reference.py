@@ -12,6 +12,7 @@ partial sum built on them.  Only the tail integrals read the engine: they
 are L (c_k - a_k), with c_k from the characteristic function.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .bounds import DerivativeBound, HjSource
 from .cos_engine import cos_coefficients
 from .errors import DampingInadmissible, QuadratureFailure
 from .models import (BS, FMLS, NIG, VG, Cauchy, CentralizedCF, MarketContext,
-                     ModelSpec, _damped_support, log_price_cf)
+                     ModelSpec, _strip_phi_underflows, stable_law)
 
 __all__ = [
     "CarrMadanConfig", "carr_madan_call", "black_scholes_put",
@@ -503,6 +504,36 @@ def _damping_admissible(model: ModelSpec, damping: float) -> bool:
     return False  # Stable, Cauchy and anything else
 
 
+def log_price_cf(cf: CentralizedCF) -> Callable[[np.ndarray], np.ndarray]:
+    """CF of log(S_T) itself: u -> exp(i*u*mu) * phi(u)."""
+    def phi_log(u):
+        u = np.asarray(u, dtype=complex)
+        return np.exp(1j * u * cf.mu) * cf.phi(u)
+    return phi_log
+
+
+def _damped_support(cf: CentralizedCF, gamma: float, u: np.ndarray) -> int:
+    """The number of leading nodes of the ascending u >= 0 where the
+    damped `log_price_cf(cf)(u - i gamma)` can be nonzero.
+
+    For BS and FMLS these are the nodes before the first one where
+    `_strip_phi_underflows` holds, which it then does at every later one.
+    It is every node for any other model, for BS or FMLS without a
+    certified real-axis cut (cf.zero_from inf; a finite one also makes the
+    scale of their `stable_law` a positive finite float), and where
+    e^(gamma mu), by which `log_price_cf` scales phi, overflows: a zero
+    phi then makes a NaN node, not a zero one."""
+    if not isinstance(cf.model, (BS, FMLS)) or math.isinf(cf.zero_from):
+        return u.size
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.exp(gamma * cf.mu)):
+            return u.size
+    law = stable_law(cf.model, cf.T)
+    return bisect.bisect_left(
+        range(u.size), True,
+        key=lambda i: _strip_phi_underflows(law, gamma, float(u[i])))
+
+
 def carr_madan_call(cf: CentralizedCF, ctx: MarketContext, K: float,
                     cfg: CarrMadanConfig = CarrMadanConfig()) -> float:
     """European call by the damped Fourier transform of Carr-Madan, integrated
@@ -515,8 +546,8 @@ def carr_madan_call(cf: CentralizedCF, ctx: MarketContext, K: float,
     with k = log K.
 
     psi is evaluated only on the nodes where phi can be nonzero
-    (`models._damped_support`); the Simpson vector keeps its full length
-    with exact zeros past them, so the sum is the full grid's bit for bit.
+    (`_damped_support`); the Simpson vector keeps its full length with
+    exact zeros past them, so the sum is the full grid's bit for bit.
     """
     g = cfg.damping
     if not _damping_admissible(cf.model, g):

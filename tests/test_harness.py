@@ -1,20 +1,23 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from coskit import harness
+from coskit import cli, harness
+from coskit.cli import cli_main
 from coskit.cos_engine import Call, CosParameters, DigitalBelow, Put, cos_price
 from coskit.errors import NotReachedWithinCap
-from coskit.harness import (EXPERIMENT_IDS, ExperimentConfig, cli_main,
-                            find_nmin, fit_loglog_slope, median_time_ms,
-                            run_convergence, run_convergence_experiment,
-                            run_experiment, run_l_optimal, run_table1,
-                            run_vg_counterexample, write_csv)
+from coskit.harness import (EXPERIMENT_IDS, ExperimentConfig, find_nmin,
+                            fit_loglog_slope, median_time_ms, run_convergence,
+                            run_convergence_experiment, run_experiment,
+                            run_l_optimal, run_table1, run_vg_counterexample,
+                            write_csv)
 from coskit.models import (BS, VG, Cauchy, MarketContext, bilateral_gamma,
                            centralized_cf)
 from coskit.reference import black_scholes_call, black_scholes_put, cauchy_cdf
@@ -378,6 +381,17 @@ def test_cli_stdout_unchanged(case, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_python_m_coskit_runs_the_cli(capsys):
+    argv = ["tune", "--model", "bs", "--sigma", "0.2", "--eps", "1e-8"]
+    assert cli_main(argv) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "coskit"] + argv,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0
+    assert out.stdout == capsys.readouterr().out
+
+
 def test_cli_experiment_writes_csv(tmp_path, capsys):
     path = os.fspath(tmp_path / "t1.csv")
     rc = cli_main(["experiment", "--id", "table1", "--out", path])
@@ -445,6 +459,8 @@ def test_experiment_ids_complete():
     assert set(EXPERIMENT_IDS) == {
         "table1", "vg_counterexample", "fmls_study", "convergence_bs",
         "convergence_cauchy", "convergence_fmls", "l_optimal"}
+    # `coskit experiment --id` offers the same ids without loading the studies
+    assert cli._EXPERIMENT_IDS == EXPERIMENT_IDS
 
 
 def test_experiment_config_validates_id():

@@ -18,12 +18,12 @@ from coskit.cos_engine import Put, cos_price
 from coskit.errors import DampingInadmissible, ModelParameterError
 from coskit.harness import VG_SETUP, run_vg_counterexample
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext, Stable,
-                           _damped_support, _strip_phi_underflows,
-                           centralized_cf, log_price_cf, stable_law)
-from coskit.reference import (CarrMadanConfig, black_scholes_call,
-                              black_scholes_put, carr_madan_call, cauchy_cdf,
-                              closed_form_density, density_on_grid,
-                              derivative_by_inversion)
+                           _strip_phi_underflows, centralized_cf, stable_law)
+from coskit.reference import (CarrMadanConfig, _damped_support,
+                              black_scholes_call, black_scholes_put,
+                              carr_madan_call, cauchy_cdf, closed_form_density,
+                              density_on_grid, derivative_by_inversion,
+                              log_price_cf)
 from coskit.tuning import TuningRequest, tune
 
 CTX = MarketContext(S0=100.0, r=0.0, T=1.0)
@@ -417,7 +417,25 @@ def test_pricing_modules_import_no_oracles():
             "import coskit.harness\n"
             "print('scipy.signal' in sys.modules)\n")
     src = str(Path(coskit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
+                         text=True, check=True, env=env)
     assert out.stdout.split() == ["[]", "False"]
+    # `coskit tune` and `coskit price` load neither the studies nor the
+    # oracles.  A model whose H_{j+1} comes from quadrature (VG, through
+    # bounds.hj_numeric) still loads scipy.integrate, so the commands run
+    # BS and FMLS, whose bounds are closed forms.
+    code = ("import contextlib, io, sys\n"
+            "from coskit.cli import cli_main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli_main(['tune', '--model', 'bs', '--sigma', '0.2',\n"
+            "                     '--eps', '1e-8']) == 0\n"
+            "    assert cli_main(['price', '--model', 'fmls', '--alpha',\n"
+            "                     '1.5597', '--sigma', '0.1486', '--payoff',\n"
+            "                     'call', '--eps', '1e-2']) == 0\n"
+            "print(sorted(m for m in ('coskit.harness', 'coskit.reference',\n"
+            "                         'scipy.integrate', 'scipy.optimize')\n"
+            "             if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["[]"]
