@@ -46,8 +46,9 @@ VG_SETUP = dict(sigma=0.1, nu=0.2, theta=0.0, T=0.25, S0=100.0, K=100.0,
 FMLS_SETUP = dict(alpha=1.5597, sigma=0.1486, T=1.0, S0=100.0, K=100.0,
                   r=0.0, tol=1e-2, series_order=40)
 CAUCHY_DIGITAL_SETUP = dict(threshold=1.23)
-# log-spaced candidate half-ranges for the optimal-range search
-OPTIMAL_RANGE_GRID = np.exp(0.07 * np.arange(201))
+# log-spaced candidate half-ranges for the optimal-range search, by libm's
+# exp: numpy's real exp rounds some entries apart on CPUs with AVX-512
+OPTIMAL_RANGE_GRID = np.array([math.exp(0.07 * k) for k in range(201)])
 # the asymptotic window of the convergence-order fits
 _FIT_NOISE_FLOOR = 1e-12
 _FIT_N_MIN = 64

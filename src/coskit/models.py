@@ -210,10 +210,8 @@ class CentralizedCF:
     zero_from: float
 
 
-_REAL_SCALARS = (float, int, np.floating, np.integer)
-# x + (-0 + 0i) is x + 0i for every real x, -0 included, in NumPy and in
-# Python complex arithmetic
-_COMPLEX_ZERO = np.complex128(-0.0)
+# x + (-0 + 0i) is x + 0i for every real x, -0 included, in Python complex
+# arithmetic as in NumPy
 _PY_COMPLEX_ZERO = complex(-0.0, 0.0)
 # z + (-0 - 0i) is z for every complex z, signed zeros included: it turns a
 # Python complex into an np.complex128 with the same bits
@@ -222,31 +220,19 @@ _NUMPY_IDENTITY = np.complex128(complex(-0.0, -0.0))
 # products, summed in the other order
 _NUMPY_I = np.complex128(1j)
 
-# A float u (what QUADPACK passes, one point at a time) runs the BS, NIG, VG
-# and FMLS phi in Python scalars, by the operations NumPy's scalar math
-# applies to u + 0i, and so to the same bits at a fraction of the cost.
-# Python and NumPy multiply complex numbers by the same formula; on a zero
-# imaginary part NumPy's complex exp and sqrt are libm's real ones, which
-# `math` calls; and `cmath.exp` agrees with NumPy's complex exp on every
-# finite argument of real part at most about 0, all that phi passes it.
-# Each operation keeps both operands complex where NumPy's were, so no
-# mixed-mode rule can move a signed zero, and the complex power stays one
-# NumPy scalar operation, whose algorithm Python's `**` does not share.
-# Where an intermediate is not finite, and a signed zero or a nan could
-# come out otherwise, phi takes the NumPy path of _complex_arg.
-
-
-def _complex_arg(u):
-    """phi's argument as complex: a real scalar becomes an np.complex128, so
-    phi runs as NumPy scalar math instead of paying ufunc dispatch on a 0-d
-    array; every product with x + 0i is exact, so the value is the same bit
-    for bit.  The sum with a complex zero makes the scalar faster than the
-    np.complex128 constructor does.  Arrays and complex scalars (a general
-    complex product may round differently in scalar math) take the array
-    path."""
-    if isinstance(u, _REAL_SCALARS):
-        return u + _COMPLEX_ZERO
-    return np.asarray(u, dtype=complex)
+# phi takes two routes.  A float u (what QUADPACK passes, one point at a
+# time) runs the BS, NIG, VG and FMLS phi in Python scalars, by the
+# operations NumPy applies to u + 0i, and so to the same bits at a fraction
+# of the cost.  Python and NumPy multiply complex numbers by the same
+# formula; on a zero imaginary part NumPy's complex exp and sqrt are libm's
+# real ones, which `math` calls; and `cmath.exp` agrees with NumPy's complex
+# exp on every finite argument of real part at most about 0, all that phi
+# passes it.  Each operation keeps both operands complex where NumPy's were,
+# so no mixed-mode rule can move a signed zero, and the complex power stays
+# one NumPy scalar operation, whose algorithm Python's `**` does not share.
+# Every other argument, and a float where an intermediate is not finite (a
+# signed zero or a nan could come out otherwise), takes the array route
+# np.asarray(u, dtype=complex), on which a scalar is a 0-d array.
 
 
 # exp(x) rounds to exactly 0 for x below -745.14.  A stable law's zero_from
@@ -303,22 +289,6 @@ def _strip_phi_underflows(law: Stable, gamma: float, u: float) -> bool:
             >= math.log(_CUT_EXPONENT))
 
 
-def _power_by_products(base, power: float, rot):
-    """base ** power * rot for a VG phi whose power numpy takes by products
-    (an integer above -100).  Where they overflow, into nan, |phi| is below
-    1e-308, and exp(power log(base)) * rot gives the tiny value instead;
-    every finite value stays as it is, and the handled overflow warns of
-    nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = base ** power * rot
-        finite = np.isfinite(value)
-        if not finite.all():
-            # [()] turns where's 0-d result for a scalar back into a scalar
-            value = np.where(finite, value,
-                             np.exp(power * np.log(base)) * rot)[()]
-    return value
-
-
 def _real_grid_power(u: np.ndarray, a: float, turn_cos: float,
                      turn_sin: float) -> np.ndarray:
     """(1j * u) ** a bit for bit, for a float array of 0 <= u with u^a
@@ -345,18 +315,29 @@ def _real_grid_power(u: np.ndarray, a: float, turn_cos: float,
     return z
 
 
-def _vg_vanishes(model: VG, T: float, log_u):
+def _vg_vanishes(model: VG, T: float, x):
     """Whether |phi(u)| of the VG `centralized_cf` rounds to 0 at a real u
-    with log|u| = log_u (a float or an array).  -log|phi| = (T/nu)
-    log|base|, and |base| is at least sigma^2 nu u^2/2 (its real part) and
-    |theta nu u| (its imaginary part), whose logs cannot overflow; past
-    _UNDERFLOW_MARGIN exp rounds to 0 with room for their rounding."""
+    with |u| = x (an array).  -log|phi| = (T/nu) log|base|, and |base| is
+    at least sigma^2 nu u^2/2 (its real part) and |theta nu u| (its
+    imaginary part), whose logs cannot overflow; past _UNDERFLOW_MARGIN exp
+    rounds to 0 with room for their rounding."""
     s, nu, th = model.sigma, model.nu, model.theta
+    with np.errstate(divide="ignore"):
+        log_u = np.log(x)
     log_base = 2.0 * (math.log(s) + log_u) + math.log(nu) - math.log(2.0)
     if th != 0.0:
         log_base = np.maximum(log_base,
                               math.log(abs(th)) + math.log(nu) + log_u)
     return T / nu * log_base >= _UNDERFLOW_MARGIN
+
+
+def _zero_where_vanishing(value, u, vanishes):
+    """value with 0 for each entry that is not finite at a real u where
+    vanishes(|u|) says |phi| rounds to 0: the far-out mend of the VG and
+    FMLS phi, where a power or a phase overflows into nan.  A 0-d result
+    comes back as a scalar."""
+    return np.where((u.imag == 0.0) & ~np.isfinite(value)
+                    & vanishes(abs(u.real)), 0j, value)[()]
 
 
 def _stable_cf(alpha: float, beta: float, scale: float):
@@ -408,7 +389,7 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
                 e = half_var * u
                 if e - e == 0.0:
                     return math.exp(e * u) + 0j
-            u = _complex_arg(u)
+            u = np.asarray(u, dtype=complex)
             return np.exp(half_var * u * u)
 
         mu = math.log(ctx.S0) + (ctx.r - 0.5 * model.sigma ** 2) * T
@@ -435,7 +416,7 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
                 e = dT * (a - math.sqrt(a2 + u * u))
                 if -math.inf < e <= 0.0:
                     return math.exp(e) + 0j
-            u = _complex_arg(u)
+            u = np.asarray(u, dtype=complex)
             return np.exp(dT * (a - np.sqrt(a2 + u * u)))
 
         w = -d * (a - math.sqrt(a * a - 1.0))
@@ -467,13 +448,10 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
                 if cmath.isfinite(turn):
                     base = one - drift * z + curv_c * z * z
                     rot = cmath.exp(turn)
-                    if by_products and abs(base) > no_overflow:
-                        return _power_by_products(base + _NUMPY_IDENTITY,
-                                                  power, rot)
-                    return (base + _NUMPY_IDENTITY) ** power * rot
-                if _vg_vanishes(model, T, math.log(abs(u))):
-                    return np.complex128(0.0)
-            u = _complex_arg(u)
+                    # products that may overflow take the array route
+                    if not (by_products and abs(base) > no_overflow):
+                        return (base + _NUMPY_IDENTITY) ** power * rot
+            u = np.asarray(u, dtype=complex)
             # a power by products may overflow into nan, and far out
             # u theta T overflows and the phase exp(-i u theta T) is nan;
             # neither warns, and both are mended below
@@ -484,21 +462,13 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
                 # a real u makes |phi| <= 1, so the sum of the real parts
                 # is finite unless some value is not
                 if not math.isfinite(value.real.sum()):
-                    value = mend(value, u, base, rot)
+                    if by_products:
+                        # |phi| is below 1e-308 where the products overflow
+                        value = np.where(np.isfinite(value), value,
+                                         np.exp(power * np.log(base)) * rot)
+                    value = _zero_where_vanishing(
+                        value, u, lambda x: _vg_vanishes(model, T, x))
             return value
-
-        def mend(value, u, base, rot):
-            """value with each non-finite entry replaced where possible:
-            by exp(power log(base)) rot where a power by products
-            overflowed, and by 0 where the phase is not finite at a real u
-            and |phi| rounds to 0 there."""
-            if by_products:
-                value = _power_by_products(base, power, rot)
-            with np.errstate(divide="ignore"):
-                vanishes = _vg_vanishes(model, T, np.log(abs(u.real)))
-            # [()] turns where's 0-d result for a scalar back into one
-            return np.where((u.imag == 0.0) & ~np.isfinite(rot) & vanishes,
-                            0j, value)[()]
 
         mu = math.log(ctx.S0) + (ctx.r + w) * T + th * T
         return CentralizedCF(phi, mu, model, T, real=(th == 0.0),
@@ -537,7 +507,7 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
                     and 0.0 <= u.min() and u.max() <= quiet):
                 z = _real_grid_power(u, a, turn_cos, turn_sin)
                 return np.exp(np.multiply(z, coef, out=z), out=z)
-            u = _complex_arg(u)
+            u = np.asarray(u, dtype=complex)
             # past quiet (i u)^a or its product with coef may overflow into
             # nan, which warns of nothing and is mended below where |phi|
             # = exp(-(c |u|)^a) rounds to 0 (at every |u| >= zero_from)
@@ -546,10 +516,8 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
                 # a real u makes |phi| <= 1, so the sum of the real parts is
                 # finite unless some value is not
                 if not math.isfinite(value.real.sum()):
-                    vanishes = np.exp(-(c * abs(u.real)) ** a) == 0.0
-                    # [()] turns where's 0-d result for a scalar back into one
-                    value = np.where((u.imag == 0.0) & vanishes
-                                     & ~np.isfinite(value), 0j, value)[()]
+                    value = _zero_where_vanishing(
+                        value, u, lambda x: np.exp(-(c * x) ** a) == 0.0)
             return value
 
         mu = math.log(ctx.S0) + ctx.r * T + _fmls_log_moment_shift(model, T) * T
@@ -566,7 +534,9 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
     if isinstance(model, Cauchy):
         def phi(u):
             u = np.asarray(u, dtype=float)
-            return np.exp(-np.abs(u)) + 0.0j
+            # the complex exp of a zero imaginary part is libm's real exp,
+            # whatever CPU features numpy's real exp dispatches to
+            return np.exp(-np.abs(u) + 0.0j)
 
         law = stable_law(model, T)
         return CentralizedCF(phi, 0.0, model, T, real=True,
@@ -582,15 +552,19 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
 
 @dataclass(frozen=True)
 class SemiHeavyTail:
-    """Exponential tail domination |f(x)| <= amplitude * exp(-rate*|x|) for
-    |x| >= onset."""
-    amplitude: float
+    """Exponential tail domination |f(x)| <= exp(log_amplitude - rate*|x|)
+    for |x| >= onset.  The amplitude is carried as its log, which stays a
+    float where the amplitude itself passes the float range."""
+    log_amplitude: float
     rate: float
     onset: float
 
     def __post_init__(self):
-        if not (self.amplitude > 0 and self.rate > 0):
-            raise ModelParameterError("semi-heavy tail constants must be positive")
+        if not (math.isfinite(self.log_amplitude) and self.rate > 0):
+            raise ModelParameterError(
+                "semi-heavy tail constants must have a finite log amplitude "
+                f"and a positive rate, got {self.log_amplitude:g} and "
+                f"{self.rate:g}")
 
 
 @dataclass(frozen=True)
@@ -688,8 +662,9 @@ def tail_profile(model: ModelSpec, ctx: MarketContext) -> TailProfile:
 
     BS/NIG/VG yield semi-heavy profiles a e^(-r|x|), |x| >= onset, with a in
     closed form and a 10% margin: the Gaussian's tangent at the onset, and
-    proven bounds on sup f(x) e^(r|x|) for NIG and VG.  a gates only the
-    range conditions `tune` checks, and sets none of M, L or N.
+    proven bounds on sup f(x) e^(r|x|) for NIG and VG.  log a is carried, as
+    a itself may pass the float range; it gates only the range conditions
+    `tune` checks, and sets none of M, L or N.
     FMLS/Stable/Cauchy yield heavy profiles with the exact asymptotic Pareto
     amplitude of the stable family.
     """
@@ -702,15 +677,14 @@ def tail_profile(model: ModelSpec, ctx: MarketContext) -> TailProfile:
         onset = 6.0 * math.sqrt(s2)
         rate = onset / s2  # log-slope of the Gaussian at the onset
         dens = math.exp(-0.5 * onset * onset / s2) / math.sqrt(2.0 * math.pi * s2)
-        # log-concavity makes the tangent bound exact beyond the onset
-        return SemiHeavyTail(1.1 * dens * math.exp(rate * onset), rate, onset)
+        # log-concavity makes the tangent bound exact beyond the onset; an
+        # amplitude that rounds to 0 far out is refused as a log of -inf
+        a = 1.1 * dens * math.exp(rate * onset)
+        return SemiHeavyTail(math.log(a) if a > 0.0 else -math.inf, rate, onset)
 
     if isinstance(model, (NIG, VG)):
         log_sup, rate, onset = _log_tail(model, T)
-        if not log_sup < 709.0:  # 1.1 e^709 is a float, with room to spare
-            raise ModelParameterError(f"{type(model).__name__} tail amplitude "
-                                      f"e^{log_sup:.6g} overflows")
-        return SemiHeavyTail(1.1 * math.exp(log_sup), rate, onset)
+        return SemiHeavyTail(math.log(1.1) + log_sup, rate, onset)
 
     if isinstance(model, FMLS):
         model = stable_law(model, T)

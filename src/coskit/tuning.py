@@ -141,7 +141,7 @@ def _check_semiheavy_range(profile: SemiHeavyTail, L: float, M: float,
             f"range {L:.4g} below the tail-domination onset {profile.onset:.4g}")
     # each needed range is log(c a xi / tol) / r for a constant c, summed in
     # logs: a, xi / tol and their product may pass the float range
-    log_ratio = math.log(profile.amplitude) + math.log(xi) - math.log(tol)
+    log_ratio = profile.log_amplitude + math.log(xi) - math.log(tol)
     checks = [
         ("density-tail", (math.log(6.0 / math.sqrt(r)) + log_ratio) / r),
         ("substitution-term",

@@ -363,7 +363,8 @@ def test_criterion_7_bound_validity():
             iks = L * (c - a[:k_max_b + 1])
         ps = bl_bruteforce(iks, L, k_max_b)
         if isinstance(prof, SemiHeavyTail):
-            b_bound = bl_bound_semiheavy(prof.amplitude, prof.rate, L, L)
+            b_bound = bl_bound_semiheavy(math.exp(prof.log_amplitude),
+                                         prof.rate, L, L)
         else:
             b_bound = bl_bound_heavy(prof.amplitude, prof.index, L)
         if ps.sqrt_partial > b_bound:

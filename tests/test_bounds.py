@@ -407,7 +407,7 @@ def test_gauss_partial_sum_below_semiheavy_bound_deep_tail():
     prof = tail_profile(BS(0.2), CTX)
     exact = gauss_tail_cos_integrals(L, s, 1024)
     ps = bl_bruteforce(exact, L, 1024)
-    bound = bl_bound_semiheavy(prof.amplitude, prof.rate, L, L)
+    bound = bl_bound_semiheavy(math.exp(prof.log_amplitude), prof.rate, L, L)
     assert ps.sqrt_partial <= bound
 
 

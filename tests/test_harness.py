@@ -283,12 +283,16 @@ def test_cli_exit_codes(capsys):
             (["tune", "--model", "vg", "--sigma", "0.2", "--nu", "0.2",
               "--T", "5e-324"], "VG variance"),
             (["tune", "--model", "bs", "--sigma", "1e-150"],
-             "central moment of order 8"),
-            (["tune", "--model", "nig", "--alpha", "200", "--delta", "1",
-              "--T", "10"], "NIG tail amplitude")):
+             "central moment of order 8")):
         capsys.readouterr()
         assert cli_main(argv + ["--eps", "1e-8"]) == 2
         assert named in capsys.readouterr().err
+    # a tail amplitude past the float range (e^1989) is carried as its log,
+    # so the range condition it gates decides the request
+    capsys.readouterr()
+    assert cli_main(["tune", "--model", "nig", "--alpha", "200", "--delta",
+                     "1", "--T", "10", "--eps", "1e-8"]) == 4
+    assert "fails the density-tail condition" in capsys.readouterr().err
     # a tolerance so loose that the moment-rule range underflows to 0
     assert cli_main(["tune", "--model", "bs", "--sigma", "1e-30",
                      "--eps", "1e300"]) == 4
@@ -300,6 +304,12 @@ def test_cli_exit_codes(capsys):
     assert cli_main(["tune", "--model", "vg", "--sigma", "0.0948", "--nu",
                      "0.1728", "--theta", "-0.2995", "--T", "19.23", "--K",
                      "177.7", "--n", "4", "--j", "54", "--eps", "1.41e-9"]) == 0
+    # and one past it (e^773) certifies too
+    capsys.readouterr()
+    assert cli_main(["tune", "--model", "vg", "--sigma", "0.0856", "--nu",
+                     "0.0377", "--T", "17.59", "--K", "135.3", "--n", "2",
+                     "--j", "24", "--eps", "5e-6"]) == 0
+    assert "N = 53006" in capsys.readouterr().out
     # numpy takes the power of this integer-T/nu VG by products, which
     # overflow far out; phi stays finite there, and the certified series
     # prices (96.551482683458504 by a 30-digit mpmath Lewis quadrature)

@@ -335,13 +335,25 @@ _VG_ROUGH = (VG(0.1, 0.2), MarketContext(100.0, 0.0, 0.1))
     ((BS(0.2), CTX, 100.0, 1e-300), None, NotReachedWithinCap),
     ((Cauchy(), CTX, 1.0, 1e-300), None, NotReachedWithinCap),
 ], ids=["loose-range", "override-before-range", "smoothness-before-override",
-        "smoothness-minimized", "heavy-onset-before-override", "series-boundary",
+        "smoothness-minimized", "heavy-onset-before-override", "onset",
         "bound-diverges", "bound-overflows", "bs-no-finite-n",
         "cauchy-no-finite-n"])
 def test_failing_requests_raise_typed_errors_in_check_order(args, h_next,
                                                             error):
     with pytest.raises(error):
         tune(TuningRequest(*args), h_next=h_next)
+
+
+@pytest.mark.parametrize("args,condition", [
+    ((NIG(2.0, 1.0), CTX, 1.0, 0.3, 2, 1), "below the tail-domination onset"),
+    ((BS(0.2), CTX, 100.0, 1e-6, 34, 1), "the density-tail condition"),
+    ((NIG(2.0, 1.0), CTX, 100.0, 1e-2, 8, 1), "the substitution-term condition"),
+    ((BS(0.2), CTX, 100.0, 1e-6, 24, 1), "the series-boundary condition"),
+], ids=["onset", "density-tail", "substitution-term", "series-boundary"])
+def test_each_semiheavy_range_condition_refuses_by_name(args, condition):
+    # a range past the onset that fails each later condition in turn
+    with pytest.raises(ToleranceTooLoose, match=condition):
+        tune(TuningRequest(*args))
 
 
 # ---------------------------------------------------------------------------
