@@ -12,10 +12,11 @@ sum of its terms, so it is the full series' price bit for bit.
 A long term vector is summed by one error-free split into a part that sums
 exactly in any grouping and a remainder whose rounded sum has an error bound
 known a priori; a prefix that bound cannot decide goes to math.fsum
-(_prefix_sums).  The term vector itself is built in place, by the same IEEE
-operations in the same order as the textbook expressions.
+(_prefix_sums).  The term vector itself is built in blocks of k, in place,
+by the same IEEE operations in the same order as the textbook expressions.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -105,19 +106,19 @@ _SIN_QUARTER = np.array([0.0, 1.0, 0.0, -1.0])
 
 def _indices(N: int | range) -> np.ndarray:
     """The k of a coefficient vector: 0..N for an int N, or the k of a
-    range from 0 with a positive step."""
+    nonempty range of k >= 0 with a positive step."""
     if isinstance(N, range):
-        if N.start != 0 or N.step < 1 or not N:
-            raise ValueError(f"need a nonempty range from 0 with a positive "
-                             f"step, got {N!r}")
-        return np.arange(0, N.stop, N.step)
+        if N.start < 0 or N.step < 1 or not N:
+            raise ValueError(f"need a nonempty range of k >= 0 with a "
+                             f"positive step, got {N!r}")
+        return np.arange(N.start, N.stop, N.step)
     return np.arange(N + 1)
 
 
 def cos_coefficients(cf: CentralizedCF, L: float, N: int | range) -> np.ndarray:
     """Density cosine coefficients c_k = (1/L) Re{phi(k pi/(2L)) e^{ik pi/2}}
-    for k = 0..N, or for the k of N when it is a range from 0.  c_0 is
-    exactly 1/L because phi(0) = 1."""
+    for k = 0..N, or for the k of N when it is a range (see _indices).  c_0
+    is exactly 1/L because phi(0) = 1."""
     k = _indices(N)
     vals = cf.phi(k * (math.pi / (2.0 * L)))
     quarter = k & 3
@@ -127,9 +128,10 @@ def cos_coefficients(cf: CentralizedCF, L: float, N: int | range) -> np.ndarray:
 
 def _basis_integrals(a: float, b: float, L: float, k: np.ndarray,
                      exp_weighted: bool) -> tuple:
-    """Integrals of the basis cosines over [a, b] for the indices k (k[0] is
-    0): psi_k = Int_a^b cos(k pi (x+L)/(2L)) dx and, when exp_weighted,
-    chi_k = Int_a^b e^x cos(k pi (x+L)/(2L)) dx (else None).
+    """Integrals of the basis cosines over [a, b] for the ascending indices
+    k >= 0: psi_k = Int_a^b cos(k pi (x+L)/(2L)) dx and, when exp_weighted,
+    chi_k = Int_a^b e^x cos(k pi (x+L)/(2L)) dx (else None).  psi_0 is
+    b - a; only k[0] can be 0.
 
     Both read one sine (and cosine) of the upper angle w (b+L).  The lower
     angle w (a+L) is exactly 0 when a = -L, where its sine is 0 and its
@@ -145,12 +147,13 @@ def _basis_integrals(a: float, b: float, L: float, k: np.ndarray,
         ta = w * (a + L)
         sa = np.sin(ta)
     psi = np.empty(k.size)
-    psi[0] = b - a
+    z = 1 if k[0] == 0 else 0
+    psi[:z] = b - a
     if lower:
-        np.subtract(sb[1:], sa[1:], out=psi[1:])
-        psi[1:] /= w[1:]
+        np.subtract(sb[z:], sa[z:], out=psi[z:])
+        psi[z:] /= w[z:]
     else:
-        np.divide(sb[1:], w[1:], out=psi[1:])
+        np.divide(sb[z:], w[z:], out=psi[z:])
     if not exp_weighted:
         return psi, None
     # chi = (e^b (cos tb + w sb) - e^a (cos ta + w sa)) / (1 + w^2)
@@ -184,7 +187,7 @@ def _upper_limit(payoff: Payoff, mu: float) -> float:
 def payoff_coefficients(payoff: Payoff, ctx: MarketContext, mu: float,
                         M: float, L: float, N: int | range) -> np.ndarray:
     """Closed-form payoff coefficients v_k = Int_{-M}^{M} v(x) e_k(x) dx for
-    k = 0..N (or the k of N when it is a range from 0), with v the
+    k = 0..N (or the k of N when it is a range, see _indices), with v the
     discounted payoff of the centralized log-return.  A call gets the
     coefficients of the put of its strike, through which it is priced.
 
@@ -214,9 +217,16 @@ def payoff_coefficients(payoff: Payoff, ctx: MarketContext, mu: float,
 # ones in vector passes (the two cost the same at 1-2 k terms).
 _VECTOR_SUM_MIN = 1024
 # Longest series cos_prices prices, counted on the requested N whatever its
-# support.  A vector of every term peaks at 80-88 B per term, so the cap is
-# about 3 GB.
+# support.  A vector of every term peaks at about 24 B per term (the terms
+# and the two parts of _prefix_sums' split; 10^7 FMLS terms add 231 MB to
+# the peak RSS), so the cap is about 0.8 GB.
 _MAX_TERMS = 2 ** 25
+# cos_prices builds its term vector this many k at a time, so that the
+# temporaries of the coefficients (a few 16 B values per k) are reused in
+# cache, not made for every k at once.  Every quote and l_optimal's
+# 16 385-term ranges fit in one block; blocks of 4096 made l_optimal about
+# 9% slower.
+_TERM_BLOCK = 2 ** 15
 
 
 def _prefix_sums(terms: np.ndarray, ns) -> list[float]:
@@ -243,19 +253,20 @@ def _prefix_sums(terms: np.ndarray, ns) -> list[float]:
     stays strictly inside half the gap to each neighbour of s and s is
     nonzero.  Any other prefix (a tie, a zero sum), and every prefix of a
     vector with a non-finite term or a sigma above 2^1023, goes to
-    math.fsum, which keeps its exceptions.
+    math.fsum (_fsum), which keeps its exceptions.
     """
     n_terms = terms.size
-    if n_terms >= _VECTOR_SUM_MIN:
-        ends = sorted(set(ns))
-        m = ends[-1] + 1
-        head, q, r = terms[:m], np.empty(m), np.empty(m)
-        top = float(np.max(np.abs(head, out=q)))
-        e = math.frexp(top)[1] + (m + 1).bit_length()  # 2^e >= (m + 2) top
-    if n_terms < _VECTOR_SUM_MIN or not (math.isfinite(top) and e <= 1023):
+    if n_terms < _VECTOR_SUM_MIN:
         full = terms.tolist()
         return [math.fsum(full if n == n_terms - 1 else full[:n + 1])
                 for n in ns]
+    ends = sorted(set(ns))
+    m = ends[-1] + 1
+    head, q, r = terms[:m], np.empty(m), np.empty(m)
+    top = float(np.max(np.abs(head, out=q)))
+    e = math.frexp(top)[1] + (m + 1).bit_length()  # 2^e >= (m + 2) top
+    if not (math.isfinite(top) and e <= 1023):
+        return [_fsum(terms[:n + 1]) for n in ns]
 
     # from here every partial sum is below 2^1023 in magnitude, so s and
     # both its neighbours are finite
@@ -274,9 +285,17 @@ def _prefix_sums(terms: np.ndarray, ns) -> list[float]:
     half_down = 0.5 * (s - np.nextafter(s, -math.inf))
     decided = ((s != 0.0) & (err + bound < half_up)
                & (err - bound > -half_down)).tolist()
-    by_end = {n: s_n if ok else math.fsum(terms[:n + 1].tolist())
+    by_end = {n: s_n if ok else _fsum(terms[:n + 1])
               for s_n, ok, n in zip(s.tolist(), decided, ends)}
     return [by_end[n] for n in ns]
+
+
+def _fsum(terms: np.ndarray) -> float:
+    """math.fsum of the vector, listed _TERM_BLOCK terms at a time: a list
+    of every term costs 32 B per term (a pointer and a float object)."""
+    return math.fsum(itertools.chain.from_iterable(
+        terms[i:i + _TERM_BLOCK].tolist()
+        for i in range(0, terms.size, _TERM_BLOCK)))
 
 
 def _support(cf: CentralizedCF, L: float, n_max: int) -> range:
@@ -318,8 +337,13 @@ def cos_prices(cf: CentralizedCF, payoff: Payoff, ctx: MarketContext,
         prices = [0.0] * len(ns)
     else:
         ks = _support(cf, L, n_max)
-        terms = cos_coefficients(cf, L, ks)
-        terms *= payoff_coefficients(payoff, ctx, cf.mu, M, L, ks)
+        # built _TERM_BLOCK k at a time, each entry by the same operations
+        terms = np.empty(len(ks))
+        for i in range(0, len(ks), _TERM_BLOCK):
+            block = ks[i:i + _TERM_BLOCK]
+            part = terms[i:i + len(block)]
+            part[:] = cos_coefficients(cf, L, block)
+            part *= payoff_coefficients(payoff, ctx, cf.mu, M, L, block)
         terms[0] *= 0.5
         prices = _prefix_sums(terms, [min(n, ks[-1]) // ks.step for n in ns])
 

@@ -220,8 +220,8 @@ _NUMPY_IDENTITY = np.complex128(complex(-0.0, -0.0))
 # products, summed in the other order
 _NUMPY_I = np.complex128(1j)
 
-# phi takes two routes.  A float u (what QUADPACK passes, one point at a
-# time) runs the BS, NIG, VG and FMLS phi in Python scalars, by the
+# phi takes two routes.  A Python float u (what QUADPACK passes, one point
+# at a time) runs the BS, NIG, VG and FMLS phi in Python scalars, by the
 # operations NumPy applies to u + 0i, and so to the same bits at a fraction
 # of the cost.  Python and NumPy multiply complex numbers by the same
 # formula; on a zero imaginary part NumPy's complex exp and sqrt are libm's
@@ -230,8 +230,9 @@ _NUMPY_I = np.complex128(1j)
 # passes it.  Each operation keeps both operands complex where NumPy's were,
 # so no mixed-mode rule can move a signed zero, and the complex power stays
 # one NumPy scalar operation, whose algorithm Python's `**` does not share.
-# Every other argument, and a float where an intermediate is not finite (a
-# signed zero or a nan could come out otherwise), takes the array route
+# Every other argument (an np.float64 too, whose arithmetic would warn where
+# it overflows), and a float where an intermediate is not finite (a signed
+# zero or a nan could come out otherwise), takes the array route
 # np.asarray(u, dtype=complex), on which a scalar is a 0-d array.
 
 
@@ -342,19 +343,26 @@ def _zero_where_vanishing(value, u, vanishes):
 
 def _stable_cf(alpha: float, beta: float, scale: float):
     """CF of a centred stable law in the standard parameterization (real
-    arguments)."""
+    arguments).
+
+    |u scale|^alpha and log|u| are the real parts of numpy's complex power
+    and log of x + 0i, which are libm's cpow and clog (glibc's cpow is
+    cexp(alpha clog(x))), as is its complex exp: numpy's real power and log
+    round apart from libm's under AVX-512, so these values do not depend on
+    the CPU features numpy dispatches to."""
     tan_term = math.tan(math.pi * alpha / 2.0) if alpha != 1.0 else 0.0
 
     def phi(u):
         u = np.asarray(u, dtype=float)
-        au = np.abs(u * scale)
+        au_a = ((np.abs(u * scale) + 0j) ** alpha).real
         if alpha == 1.0 and beta != 0.0:
             with np.errstate(divide="ignore", invalid="ignore"):
-                skew = beta * np.sign(u) * (-2.0 / math.pi) * np.log(np.abs(u))
-                expo = -au ** alpha * (1.0 - 1j * skew)
+                log_u = np.log(np.abs(u) + 0j).real
+                skew = beta * np.sign(u) * (-2.0 / math.pi) * log_u
+                expo = -au_a * (1.0 - 1j * skew)
             return np.where(u == 0.0, 1.0 + 0.0j, np.exp(expo))
         skew = beta * np.sign(u) * tan_term
-        return np.exp(-au ** alpha * (1.0 - 1j * skew))
+        return np.exp(-au_a * (1.0 - 1j * skew))
 
     return phi
 
@@ -383,14 +391,16 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         half_var = -0.5 * var
 
         def phi(u):
-            if isinstance(u, float):
+            if type(u) is float:
                 # -0.5 var u u on x + 0i is (half_var x) x + 0i while
                 # half_var x is finite
                 e = half_var * u
                 if e - e == 0.0:
                     return math.exp(e * u) + 0j
             u = np.asarray(u, dtype=complex)
-            return np.exp(half_var * u * u)
+            # far out u u overflows, and exp rounds the -inf to the right 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.exp(half_var * u * u)
 
         mu = math.log(ctx.S0) + (ctx.r - 0.5 * model.sigma ** 2) * T
         # the stable scale sigma sqrt(T/2) matches the var that phi uses to
@@ -410,14 +420,17 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         dT, a2 = d * T, a * a
 
         def phi(u):
-            if isinstance(u, float):
+            if type(u) is float:
                 # every imaginary part on x + 0i is +0 while u u is finite,
                 # and then the exponent is at most 0 up to rounding
                 e = dT * (a - math.sqrt(a2 + u * u))
                 if -math.inf < e <= 0.0:
                     return math.exp(e) + 0j
             u = np.asarray(u, dtype=complex)
-            return np.exp(dT * (a - np.sqrt(a2 + u * u)))
+            # far out u u overflows, and exp rounds what follows to the
+            # right 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.exp(dT * (a - np.sqrt(a2 + u * u)))
 
         w = -d * (a - math.sqrt(a * a - 1.0))
         mu = math.log(ctx.S0) + (ctx.r + w) * T
@@ -436,20 +449,22 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
         # the Python complex factors of the scalar path
         one, curv_c, th_c, T_c = (complex(c) for c in (1.0, curv, th, T))
         # numpy takes an integer power from -99 to -1 by binary powering;
-        # while |base| is at most no_overflow no product overflows
+        # while |base| is at most no_overflow no product overflows, and
+        # any other power reads a finite base
         by_products = power.is_integer() and -100.0 < power <= -1.0
         no_overflow = ((sys.float_info.max / 4.0) ** (1.0 / -power)
-                       if by_products else math.inf)
+                       if by_products else sys.float_info.max)
 
         def phi(u):
-            if isinstance(u, float):
+            if type(u) is float:
                 z = u + _PY_COMPLEX_ZERO
                 turn = -1j * z * th_c * T_c
                 if cmath.isfinite(turn):
                     base = one - drift * z + curv_c * z * z
                     rot = cmath.exp(turn)
-                    # products that may overflow take the array route
-                    if not (by_products and abs(base) > no_overflow):
+                    # products that may overflow, and a base that did,
+                    # take the array route
+                    if abs(base) <= no_overflow:
                         return (base + _NUMPY_IDENTITY) ** power * rot
             u = np.asarray(u, dtype=complex)
             # a power by products may overflow into nan, and far out
@@ -500,7 +515,7 @@ def centralized_cf(model: ModelSpec, ctx: MarketContext) -> CentralizedCF:
             # exp(-c^alpha * sec(pi a/2) * (i u)^alpha), principal branch;
             # equals the stable CF with beta = -1 on the real axis and extends
             # analytically to Im(u) <= 0.
-            if isinstance(u, float) and abs(u) <= quiet:
+            if type(u) is float and abs(u) <= quiet:
                 return cmath.exp(coef * (u * _NUMPY_I) ** a)
             if (isinstance(u, np.ndarray) and u.dtype == np.float64
                     and u.ndim == 1 and u.size

@@ -309,9 +309,34 @@ def test_coefficients_on_a_range_are_the_full_vector_entries():
     assert c.tolist() == cos_coefficients(CF_BS, 1.7, 300)[::3].tolist()
     assert v.tolist() == payoff_coefficients(Put(90.0), CTX, CF_BS.mu, 1.2,
                                              1.7, 300)[::3].tolist()
-    for bad in (range(1, 9), range(0, 0), range(0, -4, -1)):
+    # a range may start past 0, as the blocks of cos_prices do
+    assert cos_coefficients(CF_BS, 1.7, range(1, 9)).tolist() == \
+        cos_coefficients(CF_BS, 1.7, 8)[1:].tolist()
+    assert payoff_coefficients(Put(90.0), CTX, CF_BS.mu, 1.2, 1.7,
+                               range(1, 9)).tolist() == \
+        payoff_coefficients(Put(90.0), CTX, CF_BS.mu, 1.2, 1.7, 8)[1:].tolist()
+    for bad in (range(0, 0), range(0, -4, -1), range(-2, 5)):
         with pytest.raises(ValueError):
             cos_coefficients(CF_BS, 1.7, bad)
+
+
+@pytest.mark.parametrize("model,L", [(BS(0.2), 2e4),
+                                     (FMLS(1.5597, 0.1486), 5e3)])
+@pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 2 ** 16 + 3])
+def test_blocked_term_vector_prices_the_full_range_sum(model, L, n):
+    # the term vector is built in blocks of k; at every N around a block
+    # edge the price is math.fsum of the products of one full-range pass,
+    # c_0 halved.  L is so wide that |phi| at the block edges is 0.1-0.9,
+    # so no term there is lost in the sum's rounding
+    cf = centralized_cf(model, CTX)
+    ks = cos_engine._support(cf, L, n)
+    assert ks[-1] >= n - 1 and ks.step == (2 if cf.real else 1)
+    terms = cos_coefficients(cf, L, n)
+    terms *= payoff_coefficients(Put(90.0), CTX, cf.mu, L, L, n)
+    terms[0] *= 0.5
+    want = math.fsum(terms.tolist())
+    got, = cos_prices(cf, Put(90.0), CTX, L, L, [n])
+    assert got.hex() == want.hex()
 
 
 def _assert_prefix_sums_are_fsums(values, ns=None):

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -219,20 +221,20 @@ def test_real_scalar_phi_equals_0d_array_bit_for_bit(cf, x):
     # it must give the value of the 0-d array route exactly (a 1-element
     # array is not the reference: the vector loop may fuse multiply-adds).
     # An int and an np.float32 take the array route, with the value of the
-    # float they convert to.  Far out the array route's overflow may warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = _bits(cf.phi(np.asarray(x)))
-        for arg in (float(x), np.float64(x)):
-            value = cf.phi(arg)
-            assert isinstance(value, complex)
-            assert _bits(value) == expected, (cf.model, cf.T, x)
-        others = [int(x)]
-        if abs(x) <= np.finfo(np.float32).max:
-            others.append(np.float32(x))
-        for arg in others:
-            value = cf.phi(arg)
-            assert isinstance(value, complex)
-            assert _bits(value) == _bits(cf.phi(float(arg))), (cf.model, arg)
+    # float they convert to.  Far out, where products overflow, neither
+    # route warns
+    expected = _bits(cf.phi(np.asarray(x)))
+    for arg in (float(x), np.float64(x)):
+        value = cf.phi(arg)
+        assert isinstance(value, complex)
+        assert _bits(value) == expected, (cf.model, cf.T, x)
+    others = [int(x)]
+    if abs(x) <= float(np.finfo(np.float32).max):
+        others.append(np.float32(x))
+    for arg in others:
+        value = cf.phi(arg)
+        assert isinstance(value, complex)
+        assert _bits(value) == _bits(cf.phi(float(arg))), (cf.model, arg)
 
 
 def _plain_phi(model, T):
@@ -295,6 +297,22 @@ def test_phi_keeps_the_bits_of_the_plain_expression(model, T):
                     expected(plain(np.complex128(x)), x)), x
             if not drifted:
                 assert _bits(value) == _bits(cf.phi(np.array([x]))[0]), x
+
+
+def test_stable_phi_matches_recorded_bits():
+    # tests/data/stable_phi_golden.json holds phi of three raw Stable laws,
+    # as hex real and imaginary parts, on a grid with 0 and negative u.  Its
+    # nonzero u include points where numpy's AVX-512 real power (alpha 1.5
+    # and 1.9) and log (alpha 1) round apart from libm's, so a phi that
+    # reads them gives other bits under another dispatch
+    with open(Path(__file__).parent / "data" / "stable_phi_golden.json") as fh:
+        golden = json.load(fh)
+    u = np.array(golden["u"])
+    assert 0.0 in golden["u"] and min(golden["u"]) < 0.0
+    for law in golden["laws"]:
+        cf = centralized_cf(Stable(*law["alpha_beta_scale"]), CTX)
+        got = [[z.real.hex(), z.imag.hex()] for z in cf.phi(u).tolist()]
+        assert got == law["phi"], law["alpha_beta_scale"]
 
 
 # models drawn over wide parameter ranges, with FMLS and Stable alpha also

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -203,6 +204,44 @@ def test_carr_madan_equals_the_full_grid_rule_bit_for_bit(model, T, r, S0, K,
         got = carr_madan_call(cf, ctx, K, cfg)
     if math.isfinite(expected):
         assert got.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("model", [
+    BS(0.2), NIG(2.0, 0.6), VG(0.1, 0.2), VG(0.12, 0.2, -0.14),
+    FMLS(1.5597, 0.1486)])
+def test_carr_madan_blocks_equal_the_full_length_rule(model):
+    # 2^17 + 2 intervals are no whole number of blocks, and BS and FMLS cut
+    # their support inside a block past the first
+    cfg = CarrMadanConfig(2 ** 17 + 2)
+    cf = centralized_cf(model, CTX)
+    m = _damped_support(cf, cfg.damping + 1.0,
+                        np.linspace(0.0, cfg.upper, cfg.n_terms + 1))
+    block = reference._CM_BLOCK
+    assert cfg.n_terms % block != 0
+    if isinstance(model, (BS, FMLS)):
+        assert block < m < cfg.n_terms and m % block != 0
+    else:
+        assert m == cfg.n_terms + 1
+    for K in (80.0, 100.0, 125.0):
+        assert carr_madan_call(cf, CTX, K, cfg).hex() == \
+            _full_grid_call(cf, CTX, K, cfg).hex(), K
+
+
+def test_carr_madan_holds_no_full_length_temporaries():
+    # the VG study's reference: the grid and the Simpson vector (1 MB each)
+    # plus one block of temporaries, where a full-length evaluation peaks
+    # at 11 MB
+    s = VG_SETUP
+    ctx = MarketContext(s["S0"], s["r"], s["T"])
+    cf = centralized_cf(VG(s["sigma"], s["nu"], s["theta"]), ctx)
+    price = carr_madan_call(cf, ctx, s["K"])
+    tracemalloc.start()
+    try:
+        assert carr_madan_call(cf, ctx, s["K"]) == price
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("model,cut", [
