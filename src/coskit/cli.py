@@ -85,7 +85,9 @@ def _add_request_args(p: argparse.ArgumentParser):
                    help="price tolerance")
     p.add_argument("--n", type=int, default=8, help="moment order")
     p.add_argument("--j", type=int, default=40, help="series derivative order")
-    p.add_argument("--minimize-j", action="store_true")
+    p.add_argument("--minimize-j", action="store_true",
+                   help="take the least N over every admissible derivative "
+                   "order, not the order --j")
 
 
 def _payoff_and_bound(args) -> tuple[Payoff, float]:

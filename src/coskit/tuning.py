@@ -17,8 +17,7 @@ from .bounds import (DerivativeBound, bl_semiheavy_factor, hj_closed_form,
                      hj_numeric, series_log_coefficient, series_order_cap,
                      sqrt_rule_coefficient)
 from .cos_engine import CosParameters
-from .errors import (NoClosedForm, NoSmoothness, NotReachedWithinCap,
-                     ToleranceTooLoose)
+from .errors import NoClosedForm, NotReachedWithinCap, ToleranceTooLoose
 from .models import (HeavyTail, MarketContext, ModelSpec, SemiHeavyTail,
                      TailProfile, central_moment, centralized_cf, tail_profile)
 
@@ -156,28 +155,19 @@ def _check_semiheavy_range(profile: SemiHeavyTail, L: float, M: float,
                 f"condition (needs >= {needed:.4g})")
 
 
-def _best_order(req: TuningRequest, L: float, xi: float) -> tuple[int, int]:
-    """(order, N) minimizing the series length over orders 1.._MAX_ORDER
-    (clamped to the model's smoothness) for the given ranges; ties break
-    toward the smaller order.  Needs closed-form derivative bounds."""
-    cap = series_order_cap(req.model, req.ctx, _MAX_ORDER)
-    if cap < 1:
-        raise NoSmoothness("no derivative order >= 1 is admissible")
-    n_star, j_star = min(
-        (_ceil_n(_series_length(j, hj_closed_form(req.model, req.ctx, j + 1),
-                                L, xi, req.tol)), j)
-        for j in range(1, cap + 1))
-    return j_star, n_star
-
-
 def tune(req: TuningRequest, h_next: DerivativeBound | None = None) -> CosParameters:
     """Certified (M, L, N): the range rule picked by the model's tail profile
     and the series bound at the requested derivative order (clamped to the
-    model's smoothness, minimized over orders when requested, or the
-    square-root rule when only one bounded derivative exists).  h_next
-    overrides the derivative bound H_(j+1).  The certified guarantee is
-    |COS price - true price| <= tol.
+    model's smoothness, or the square-root rule when only one bounded
+    derivative exists), or at the order 1.._MAX_ORDER, clamped likewise,
+    with the least N when minimize_order is set; ties go to the smaller
+    order.  h_next overrides the derivative bound H_(j+1), so it fixes the
+    order and cannot be combined with minimize_order.  The certified
+    guarantee is |COS price - true price| <= tol.
     """
+    if req.minimize_order and h_next is not None:
+        raise ValueError("an h_next override fixes the derivative order; "
+                         "it cannot be combined with minimize_order")
     profile = tail_profile(req.model, req.ctx)
     M, L, xi, provenance = _ranges(req, profile)
     if isinstance(profile, HeavyTail) and M < profile.onset:
@@ -186,11 +176,15 @@ def tune(req: TuningRequest, h_next: DerivativeBound | None = None) -> CosParame
             f"{profile.onset:.4g}")
 
     j = series_order_cap(req.model, req.ctx, req.series_order)
-    if req.minimize_order and j >= 1:
-        j, _ = _best_order(req, L, xi)
+    orders = (range(1, series_order_cap(req.model, req.ctx, _MAX_ORDER) + 1)
+              if req.minimize_order and j >= 1 else (j,))
 
-    bound = _h_next(req.model, req.ctx, j, h_next)
-    N = _ceil_n(_series_length(j, bound, L, xi, req.tol))
+    def candidate(order: int) -> tuple[int, int, DerivativeBound]:
+        bound = _h_next(req.model, req.ctx, order, h_next)
+        return (_ceil_n(_series_length(order, bound, L, xi, req.tol)),
+                order, bound)
+
+    N, j, bound = min(map(candidate, orders), key=lambda c: c[:2])
     rule = ("square-root rule (one bounded derivative)" if j == 0
             else f"series bound at derivative order {j}")
 

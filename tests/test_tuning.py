@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import json
 import math
@@ -9,11 +8,11 @@ import numpy as np
 import pytest
 
 from coskit import tuning
-from coskit.bounds import hj_closed_form, hj_numeric, series_truncation_bound
+from coskit.bounds import (hj_closed_form, hj_numeric, series_order_cap,
+                           series_truncation_bound)
 from coskit.cos_engine import Call, DigitalBelow, Put, cos_price
-from coskit.errors import (CosKitError, IntegralDiverged, NoClosedForm,
-                           NoSmoothness, NotReachedWithinCap,
-                           ToleranceTooLoose)
+from coskit.errors import (CosKitError, IntegralDiverged, NoSmoothness,
+                           NotReachedWithinCap, ToleranceTooLoose)
 from coskit.models import (BS, FMLS, NIG, VG, Cauchy, MarketContext,
                            centralized_cf)
 from coskit.reference import (black_scholes_put, carr_madan_call, cauchy_cdf,
@@ -189,14 +188,25 @@ def _scanned(req):
 
 
 def test_full_scan_finds_global_minimum():
-    j_star, n_star = _scanned(_bs_request(40))
-    assert n_star <= 170
-    # no scanned order does better, and ties break to the smallest order
-    for j in range(1, 121):
-        nj = tune(_bs_request(j)).N
-        assert nj >= n_star
-        if nj == n_star:
-            assert j >= j_star
+    # for each model with an order >= 1: the least N of the plain requests
+    # over orders 1..cap, at the smallest order that reaches it
+    for name in ("bs", "nig", "vg", "vg_drift", "fmls", "cauchy"):
+        model, ctx, K, n = GOLDEN_SETUPS[name]
+        cap = series_order_cap(model, ctx, tuning._MAX_ORDER)
+        for tol in (1e-4, 1e-8):
+            req = TuningRequest(model, ctx, K, tol, n)
+            by_order = {j: tune(dataclasses.replace(req, series_order=j)).N
+                        for j in range(1, cap + 1)}
+            n_star = min(by_order.values())
+            j_star = min(j for j, nj in by_order.items() if nj == n_star)
+            assert _scanned(req) == (j_star, n_star), (name, tol)
+
+
+def test_minimize_order_refuses_an_override():
+    # an override bounds one derivative, so it fixes the order to scan
+    with pytest.raises(ValueError, match="minimize_order"):
+        tune(dataclasses.replace(_bs_request(40), minimize_order=True),
+             h_next=hj_closed_form(BS(0.2), CTX, 41))
 
 
 def test_scan_finite_at_large_orders():
@@ -243,8 +253,9 @@ def _tune_outcome(*request_args):
 
 def test_tune_matches_recorded_grid():
     # tests/data/tune_golden.json was recorded from the tuner that had one
-    # function per tail family; every (M, L, N, tol, provenance) and every
-    # exception class must stay exactly as recorded
+    # function per tail family, and its VG minimize entries again when VG
+    # scans its orders with numeric bounds; every (M, L, N, tol, provenance)
+    # and every exception class must stay exactly as recorded
     with open(Path(__file__).parent / "data" / "tune_golden.json") as fh:
         golden = json.load(fh)
     got = {f"{name} j={j} tol={tol:g} minimize={mini}":
@@ -265,11 +276,8 @@ def test_tail_profile_read_once_per_tune(name, minimize, monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(tuning, fn_name, counted)
     model, ctx, K, n = GOLDEN_SETUPS[name]
-    req = TuningRequest(model, ctx, K, 1e-6, n, minimize_order=minimize)
-    # VG has no closed-form derivative bounds to scan orders with
-    no_scan = isinstance(model, VG) and minimize
-    with pytest.raises(NoClosedForm) if no_scan else contextlib.nullcontext():
-        tune(req)
+    # VG scans its orders with numeric bounds, and still reads the tail once
+    tune(TuningRequest(model, ctx, K, 1e-6, n, minimize_order=minimize))
     assert calls["tail_profile"] == 1
     assert calls["central_moment"] <= 1
 
